@@ -38,6 +38,44 @@ void BM_GridIndexRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexRebuild)->Arg(2000)->Arg(15000);
 
+// Incremental maintenance after a resample-sized rewrite: each iteration
+// takes one of 64 fixed batches — the ~4% of points inside a disk, like a
+// fusion subset — and swaps each point with its alternate (another batch
+// member's position plus jitter, or 5% anywhere, like resample and random
+// replacement), then re-bins just those: the filter's per-reading index
+// cost in place of a full rebuild.
+void BM_GridIndexUpdate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  const AreaBounds area = make_area(100, 100);
+  std::vector<Point2> pts;
+  for (std::size_t i = 0; i < n; ++i) pts.push_back(uniform_point(rng, area));
+  std::vector<Point2> alt = pts;
+  GridIndex index(area, 14.0);
+  index.rebuild(pts);
+  std::vector<std::vector<std::uint32_t>> batches(64);
+  for (auto& batch : batches) {
+    index.query_radius(pts, uniform_point(rng, area), 11.3, batch);  // pi r^2 = 4% of the area
+    for (const auto s : batch) {
+      const Point2 drawn = pts[batch[uniform_index(rng, batch.size())]];
+      alt[s] = uniform01(rng) < 0.05
+                   ? uniform_point(rng, area)
+                   : area.clamp({drawn.x + normal(rng, 0.0, 1.0), drawn.y + normal(rng, 0.0, 1.0)});
+    }
+  }
+  std::size_t b = 0;
+  std::size_t moved = 0;
+  for (auto _ : state) {
+    const auto& batch = batches[b++ % batches.size()];
+    for (const auto s : batch) std::swap(pts[s], alt[s]);
+    index.update(pts, batch);
+    moved += batch.size();
+    benchmark::DoNotOptimize(index.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
+}
+BENCHMARK(BM_GridIndexUpdate)->Arg(2000)->Arg(15000);
+
 void BM_GridIndexQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);

@@ -326,13 +326,18 @@ std::size_t FusionParticleFilter::score_reading(const Point2& at, const SensorRe
 bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response,
                                            simd::AVector<double>& rates_out,
                                            bool& kernel_pmf_out) {
+  if (grid_dirty_) {
+    // Whole-population rewrites (initialization, resize_budget) are
+    // re-indexed here; resample and predict keep the index current as they
+    // go (update_index).
+    const obs::ScopedSpan span(tracer_, obs::Stage::kIndex);
+    grid_.rebuild(positions_);
+    grid_dirty_ = false;
+    reserve_scratch();
+  }
   // Span covers the memoizable stage the scoring cache skips on a hit:
   // spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
-  if (grid_dirty_) {
-    grid_.rebuild(positions_);
-    grid_dirty_ = false;
-  }
 
   // --- Selection (Eq. 5): P' = particles within the fusion range. ---
   grid_.query_radius(positions_, at, cfg_.fusion_range, subset_);
@@ -344,7 +349,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
       movement_->evolve(rng_, positions_[i], strengths_[i]);
       positions_[i] = env_->bounds().clamp(positions_[i]);
     }
-    grid_dirty_ = true;
+    update_index(subset_);
     ++particle_generation_;
   }
 
@@ -479,11 +484,14 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
     new_mass += subset_weights_[k];
   }
   if (new_mass <= 0.0 || !std::isfinite(new_mass)) return 0;  // degenerate update: skip
-  particles_scored_ += n;
-
   // Scale the posterior subset weights so the subset keeps its prior mass,
-  // then write back. Global weights remain normalized.
+  // then write back. Global weights remain normalized. The shift above
+  // ignores the prior weights, so new_mass can be positive yet subnormal
+  // (the best-scoring particle carried almost no prior mass) and the ratio
+  // overflow: degenerate too, skipped before any weight is written.
   const double scale = subset_mass_before / new_mass;
+  if (!std::isfinite(scale)) return 0;
+  particles_scored_ += n;
   for (std::size_t k = 0; k < subset.size(); ++k) {
     weights_[subset[k]] = subset_weights_[k] * scale;
   }
@@ -500,8 +508,8 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
       // Skip the resample: no RNG consumed; positions unchanged by this
-      // branch, so the grid stays valid unless predict already dirtied it —
-      // and the particle generation is unchanged, so cache entries survive.
+      // branch, so the index needs no update — and the particle generation
+      // is unchanged, so cache entries survive.
       ++resamples_skipped_;
       return subset.size();
     }
@@ -510,9 +518,31 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
   // --- Resample P'' locally (Sec. V-E). ---
   resample_subset(subset, subset_mass_before);
   ++resamples_performed_;
-  grid_dirty_ = true;
+  update_index(subset);
 
   return subset.size();
+}
+
+void FusionParticleFilter::reserve_scratch() {
+  // Sized for the largest possible fusion subset — every particle — so no
+  // later reading allocates, whichever disk it selects and however the
+  // cloud concentrates (tests/test_alloc_steady.cpp). Done on the first
+  // reading rather than in the constructor, which stays cheap.
+  const std::size_t cap = cfg_.adaptive_budget ? cfg_.max_particles : positions_.size();
+  subset_.reserve(cap);
+  subset_weights_.reserve(cap);
+  scratch_x_.reserve(cap);
+  scratch_y_.reserve(cap);
+  scratch_s_.reserve(cap);
+  if (cfg_.use_known_obstacles) scratch_t_.reserve(cap);
+  rates_scratch_.reserve(cap);
+  picks_.reserve(cap);
+  drawn_.reserve(cap);
+}
+
+void FusionParticleFilter::update_index(std::span<const std::uint32_t> moved) {
+  const obs::ScopedSpan span(tracer_, obs::Stage::kIndex);
+  grid_.update(positions_, moved);
 }
 
 void FusionParticleFilter::resample_subset(std::span<const std::uint32_t> subset,

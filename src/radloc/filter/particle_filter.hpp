@@ -219,6 +219,11 @@ class FusionParticleFilter {
   [[nodiscard]] Point2 random_position();
   [[nodiscard]] double random_strength();
   void resample_subset(std::span<const std::uint32_t> subset, double subset_mass);
+  /// Reserves the per-reading scratch for a subset of every particle.
+  void reserve_scratch();
+  /// Re-bins the particles whose positions a resample or predict rewrote;
+  /// the rest of the index is untouched (DESIGN.md §5.5).
+  void update_index(std::span<const std::uint32_t> moved);
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
@@ -274,7 +279,7 @@ class FusionParticleFilter {
   std::unique_ptr<MovementModel> movement_;
   bool movement_is_static_ = true;  ///< hoisted dynamic_cast (set_movement_model)
   GridIndex grid_;
-  bool grid_dirty_ = true;
+  bool grid_dirty_ = true;  ///< whole population rewritten: rebuild before the next query
   std::uint64_t iteration_ = 0;
   std::uint64_t particles_scored_ = 0;
   std::uint64_t resamples_performed_ = 0;

@@ -13,6 +13,7 @@ const char* to_string(Stage stage) {
     case Stage::kMeanShift: return "mean_shift";
     case Stage::kBudgetAdapt: return "budget_adapt";
     case Stage::kDrain: return "drain";
+    case Stage::kIndex: return "index";
   }
   return "unknown";
 }

@@ -4,10 +4,11 @@
 //   validate -> fusion-disk query -> weight update -> resample
 //                                          -> mean-shift -> budget adapt
 //
-// plus a per-drain envelope span at the service layer. Spans are sampled
-// (one shared relaxed tick counter, every Nth span records) and land in a
-// preallocated ring-buffer TraceSink; the exporter (obs/export.hpp) drains
-// the ring to JSONL.
+// plus fusion-index maintenance (a full rebuild, or the incremental re-bin
+// after a predict or resample) and a per-drain envelope span at the
+// service layer. Spans are sampled (one shared relaxed tick counter, every
+// Nth span records) and land in a preallocated ring-buffer TraceSink; the
+// exporter (obs/export.hpp) drains the ring to JSONL.
 //
 // Disabled-path guarantees (pinned by the golden-fingerprint and
 // zero-allocation tests):
@@ -40,9 +41,12 @@ enum class Stage : std::uint8_t {
   kMeanShift,
   kBudgetAdapt,
   kDrain,         ///< service-layer envelope around one session drain
+  kIndex,         ///< fusion-index maintenance: a full rebuild before the
+                  ///< query, or the incremental re-bin after a predict or
+                  ///< resample (NESTS inside kFusionQuery / kWeightUpdate)
 };
 
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 8;
 
 [[nodiscard]] const char* to_string(Stage stage);
 

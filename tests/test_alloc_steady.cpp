@@ -8,10 +8,11 @@
 // global operator new (plain, array, aligned, nothrow) during readings
 // processed after a warm-up pass and requires exactly zero.
 //
-// The scenario pins the subset size: the fusion range covers the whole
-// area, so |P'| == num_particles for every reading and capacity demands
-// are deterministic (a partial-coverage subset would make the high-water
-// mark stochastic under resampling jitter).
+// Most scenarios pin the subset size: the fusion range covers the whole
+// area, so |P'| == num_particles for every reading. One scenario uses a
+// partial-coverage disk over a multi-cell index, where subsets and index
+// cells grow and shrink as the cloud concentrates; buffers sized from the
+// particle count keep that path allocation-free too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,6 +217,35 @@ TEST(SteadyStateAllocation, CachedAndFusedReadingsAreAllocationFree) {
   EXPECT_EQ(g_alloc_count.load(), 0) << "cached/fused reading path allocated at steady state";
   EXPECT_GT(filter.scoring_cache_hits(), 0u) << "cache never hit; the assertion is vacuous";
   EXPECT_GT(filter.fused_groups(), 0u);
+}
+
+TEST(SteadyStateAllocation, PartialCoverageReadingsAreAllocationFree) {
+  // The scenarios above use one fusion disk covering the whole area, which
+  // is a single index cell: they cannot see per-cell growth. Here the disk
+  // spans a few cells of a multi-cell grid and the stream is long enough for
+  // the cloud to concentrate around the sources, so index cells fill and
+  // empty and the fusion subsets change size reading by reading. The index
+  // and the filter's scratch are sized from the particle count, so after
+  // the first reading (which builds the index) nothing may allocate.
+  Environment env(make_area(120, 120));
+  auto sensors = place_grid(env.bounds(), 6, 6);
+  set_background(sensors, 5.0);
+
+  FilterConfig cfg;
+  cfg.num_particles = 2000;
+  cfg.fusion_range = 28.0;  // index pitch 14: a 9x9 grid, each disk ~5x5 cells
+  FusionParticleFilter filter(env, sensors, cfg, Rng(21));
+
+  MeasurementSimulator sim(env, sensors, {{{30, 85}, 60.0}, {{90, 30}, 40.0}});
+  Rng noise(22);
+  std::vector<Measurement> stream;
+  for (int step = 0; step < 40; ++step) {
+    for (const auto& m : sim.sample_time_step(noise)) stream.push_back(m);
+  }
+
+  (void)filter.process(stream.front());
+  const long allocs = count_allocs_during_one_pass(filter, stream);
+  EXPECT_EQ(allocs, 0) << "partial-coverage reading path allocated after the first reading";
 }
 
 TEST(SteadyStateAllocation, CounterSeesOrdinaryAllocations) {

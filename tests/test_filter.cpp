@@ -288,6 +288,54 @@ TEST(FusionFilter, ExtremeReadingKeepsStateFinite) {
   EXPECT_NEAR(total, 1.0, 1e-6);
 }
 
+TEST(FusionFilter, SubnormalPosteriorMassSkipsTheUpdate) {
+  // The log-space shift uses the best log-likelihood and ignores the prior
+  // weights. When the best-scoring particle carries a subnormal prior weight
+  // and every other particle's shifted likelihood underflows, the posterior
+  // mass is positive but subnormal and subset_mass / new_mass overflows.
+  // That update is degenerate and must be skipped like a zero-mass one; it
+  // used to write inf/NaN weights that the next resample rejected.
+  const Environment env = test_env();
+  FilterConfig cfg;
+  cfg.num_particles = 2;
+  cfg.fusion_range = 500.0;  // every reading sees both particles
+  // With two particles the ESS fraction never drops below 0.5, so this gate
+  // skips every resample and the weights keep their multiplicative history.
+  cfg.ess_resample_threshold = 0.25;
+  FusionParticleFilter filter(env, {}, cfg, Rng(5));
+
+  // Particle 0 is A, particle 1 is B; readings are taken 1 unit from A.
+  const Point2 at{filter.positions()[0].x + 1.0, filter.positions()[0].y};
+  const auto unit_rate = [&](std::size_t i) {
+    return expected_cpm_single_free_space(at, Source{filter.positions()[i], filter.strengths()[i]},
+                                          SensorResponse{1.0, 0.0});
+  };
+  const double gap = unit_rate(0) - unit_rate(1);
+  ASSERT_GT(gap, 0.0);
+
+  // Zero-count readings whose rates differ by 10: each one multiplies A's
+  // weight by about e^-10 relative to B's, until it is subnormal.
+  const SensorResponse fade{10.0 / gap, 1.0};
+  for (int r = 0; r < 200 && filter.weights()[0] >= 1e-310; ++r) {
+    (void)filter.process_reading(at, fade, 0.0);
+  }
+  ASSERT_LT(filter.weights()[0], 1e-310);
+  ASSERT_GT(filter.weights()[0], 0.0);
+
+  // A reading only A explains: B's shifted likelihood underflows to 0 and
+  // the posterior mass is A's subnormal prior weight.
+  const std::vector<double> before(filter.weights().begin(), filter.weights().end());
+  const SensorResponse loud{2000.0 / gap, 1.0};
+  const double cpm = std::round(2000.0 * unit_rate(0) / gap + 1.0);
+  EXPECT_EQ(filter.process_reading(at, loud, cpm), 0u);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(filter.weights()[i])) << "particle " << i;
+    EXPECT_EQ(filter.weights()[i], before[i]) << "particle " << i;
+  }
+  // Healthy readings keep working afterwards.
+  EXPECT_EQ(filter.process_reading(at, fade, 0.0), 2u);
+}
+
 TEST(FusionFilter, NonFiniteReadingRejected) {
   const Environment env = test_env();
   const auto sensors = test_sensors(env);

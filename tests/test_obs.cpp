@@ -13,9 +13,12 @@
 #include <thread>
 #include <vector>
 
+#include "radloc/filter/particle_filter.hpp"
 #include "radloc/obs/export.hpp"
 #include "radloc/obs/metrics.hpp"
 #include "radloc/obs/trace.hpp"
+#include "radloc/sensornet/placement.hpp"
+#include "radloc/sensornet/simulator.hpp"
 
 namespace radloc::obs {
 namespace {
@@ -286,6 +289,35 @@ TEST(ScopedSpan, RecordsThroughTracerAndIgnoresNull) {
 
 TEST(TraceSink, RejectsZeroCapacity) {
   EXPECT_THROW(TraceSink(0, 1), std::invalid_argument);
+}
+
+TEST(ScopedSpan, IndexStageIsAppendedAndTracedByTheFilter) {
+  // kIndex comes after every older stage, so their ordinals (and recorded
+  // traces) keep their meaning.
+  EXPECT_EQ(static_cast<std::size_t>(Stage::kDrain), 6u);
+  EXPECT_EQ(static_cast<std::size_t>(Stage::kIndex) + 1, kStageCount);
+  EXPECT_STREQ(to_string(Stage::kIndex), "index");
+
+  const Environment env(make_area(100, 100));
+  auto sensors = place_grid(env.bounds(), 4, 4);
+  set_background(sensors, 5.0);
+  FilterConfig cfg;
+  cfg.num_particles = 600;
+  FusionParticleFilter filter(env, sensors, cfg, Rng(3));
+  TraceSink sink(4096, 1);
+  StageTracer tracer(&sink, 1);
+  filter.set_stage_tracer(&tracer);
+  const MeasurementSimulator sim(env, sensors, {{{30, 60}, 40.0}});
+  Rng noise(4);
+  for (const auto& m : sim.sample_time_step(noise)) (void)filter.process(m);
+  std::size_t index_spans = 0;
+  for (const auto& e : sink.drain()) index_spans += e.stage == Stage::kIndex ? 1 : 0;
+#ifdef RADLOC_OBS_OFF
+  EXPECT_EQ(index_spans, 0u);
+#else
+  // The first reading's full rebuild plus the re-bin after each resample.
+  EXPECT_GT(index_spans, 1u);
+#endif
 }
 
 }  // namespace

@@ -308,7 +308,7 @@ TEST(SimdPoisson, FusedEdgeSemanticsExactInEveryTier) {
   const std::vector<double> lambdas{0.0, -0.0, -3.5, 5e-324, 1.0, kInf, -kInf, kNan, 42.0};
   const std::size_t n = lambdas.size();
   const simd::Kernels& scalar = simd::kernels_for(simd::Tier::kScalar);
-  for (const auto [k_sum, reps, lfs] :
+  for (const auto& [k_sum, reps, lfs] :
        {std::tuple{0.0, 3.0, 0.0}, {91.0, 3.0, 12.5}, {-1.0, 2.0, 0.0}}) {
     std::vector<double> want(n);
     scalar.poisson_log_pmf_fused(k_sum, reps, lfs, lambdas.data(), want.data(), n);

@@ -226,5 +226,109 @@ TEST(StressGeometry, GridIndexSurvivesRebuildChurnAndDegenerateSets) {
   }
 }
 
+// The incrementally maintained index must be indistinguishable from a
+// fresh rebuild over the same points: same indices in the same order (the
+// filter's resample and mass reductions consume that order), and the same
+// set as brute force.
+void expect_same_as_rebuild(const GridIndex& index, const std::vector<Point2>& points,
+                            const AreaBounds& area, double cell, Rng& rng) {
+  ASSERT_EQ(index.size(), points.size());
+  GridIndex fresh(area, cell);
+  fresh.rebuild(points);
+  std::vector<std::uint32_t> got;
+  std::vector<std::uint32_t> want;
+  const Point2 centers[] = {uniform_point(rng, area), uniform_point(rng, area), {0.0, 0.0},
+                            {100.0, 100.0}, {-40.0, 130.0}};
+  for (const Point2& c : centers) {
+    for (const double radius : {0.0, 3.5, 7.0, 14.0, 40.0, 1000.0}) {
+      index.query_radius(points, c, radius, got);
+      fresh.query_radius(points, c, radius, want);
+      ASSERT_EQ(got, want) << "center (" << c.x << ", " << c.y << ") radius " << radius;
+      expect_matches_brute_force(index, points, c, radius);
+    }
+  }
+}
+
+TEST(StressGeometry, GridIndexIncrementalUpdateMatchesRebuildInOrder) {
+  const AreaBounds area = make_area(100.0, 100.0);
+  const double cell = 7.0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const std::size_t n = 200 + uniform_index(rng, 800);
+    std::vector<Point2> points;
+    for (std::size_t i = 0; i < n; ++i) points.push_back(uniform_point(rng, area));
+    GridIndex index(area, cell);
+    index.rebuild(points);
+
+    std::vector<std::uint32_t> order(n);
+    for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+    int in_place[6] = {};
+    int fallbacks[6] = {};
+    for (int round = 0; round < 60; ++round) {
+      const int kind = round % 6;
+      SCOPED_TRACE(::testing::Message() << "round " << round << " kind " << kind);
+      // A batch of distinct slots in random order, like a fusion subset.
+      const std::size_t k = kind == 5 ? n : 1 + uniform_index(rng, n / 8);
+      for (std::size_t j = 0; j < k; ++j) {
+        std::swap(order[j], order[j + uniform_index(rng, n - j)]);
+      }
+      std::vector<std::uint32_t> batch(order.begin(), order.begin() + static_cast<long>(k));
+      const Point2 spot = uniform_point(rng, area);
+      for (const std::uint32_t s : batch) {
+        Point2& p = points[s];
+        switch (kind) {
+          case 0:  // resample jitter: mostly the same or a neighboring cell
+            p = Point2{p.x + normal(rng, 0.0, 3.0), p.y + normal(rng, 0.0, 3.0)};
+            break;
+          case 1:  // random replacement: teleported anywhere
+            p = uniform_point(rng, area);
+            break;
+          case 2:  // out of bounds, and exactly on the border (clamped cells)
+            p = uniform01(rng) < 0.5 ? Point2{uniform(rng, -500.0, 600.0), -75.0}
+                                     : Point2{100.0, uniform(rng, 0.0, 100.0)};
+            break;
+          case 3:  // the whole batch collapses into one cell: slack runs out
+            p = Point2{spot.x + uniform(rng, -1.0, 1.0), spot.y + uniform(rng, -1.0, 1.0)};
+            break;
+          case 4:  // most of the batch stays put; the slot list repeats one
+            if (uniform01(rng) < 0.2) p = uniform_point(rng, area);
+            break;
+          default:  // every point rewritten, order reversed
+            p = uniform_point(rng, area);
+            break;
+        }
+      }
+      if (kind == 4) batch.push_back(batch.front());
+      if (kind == 5) std::reverse(batch.begin(), batch.end());
+      const std::uint64_t before = index.layouts();
+      index.update(points, batch);
+      (index.layouts() == before ? in_place : fallbacks)[kind] += 1;
+      expect_same_as_rebuild(index, points, area, cell, rng);
+      if (HasFatalFailure()) return;
+    }
+    // Both paths ran: the small jitter and teleport batches were applied in
+    // place, and collapsing a batch into one cell laid the regions out anew.
+    EXPECT_GT(in_place[0] + in_place[1], 0);
+    EXPECT_GT(fallbacks[3], 0);
+  }
+}
+
+TEST(StressGeometry, GridIndexUpdateWithNewSizeRebuilds) {
+  const AreaBounds area = make_area(100.0, 100.0);
+  Rng rng(31);
+  std::vector<Point2> points;
+  for (int i = 0; i < 50; ++i) points.push_back(uniform_point(rng, area));
+  GridIndex index(area, 10.0);
+  index.rebuild(points);
+  const std::vector<std::uint32_t> none;
+  index.update(points, none);
+  EXPECT_EQ(index.layouts(), 1u);
+  for (int i = 0; i < 30; ++i) points.push_back(uniform_point(rng, area));
+  index.update(points, none);
+  EXPECT_EQ(index.layouts(), 2u);
+  expect_same_as_rebuild(index, points, area, 10.0, rng);
+}
+
 }  // namespace
 }  // namespace radloc

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "radloc/obs/export.hpp"
+#include "cli_args.hpp"
 #include "radloc/radloc.hpp"
 
 namespace {
@@ -112,30 +113,44 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Numeric flags: a value that is not entirely a number ends the run with
+  // exit code 2, like an unknown flag.
+  auto value_of = [&](int& i, auto parse) {
+    const std::string flag = argv[i];
+    const std::string text = next(i);
+    const auto value = parse(text);
+    if (!value) {
+      std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+      usage(2);
+    }
+    return *value;
+  };
+  auto count = [&](int& i) { return value_of(i, cli::parse_count); };
+  auto real = [&](int& i) { return value_of(i, cli::parse_real); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") usage(0);
-    else if (a == "--sessions") opt.sessions = std::stoul(next(i));
-    else if (a == "--synthetic") opt.synthetic_steps = std::stoul(next(i));
+    else if (a == "--sessions") opt.sessions = count(i);
+    else if (a == "--synthetic") opt.synthetic_steps = count(i);
     else if (a == "--replay") opt.replay_path = next(i);
     else if (a == "--stdin") opt.use_stdin = true;
     else if (a == "--scenario") opt.scenario = next(i);
-    else if (a == "--strength") opt.strength = std::stod(next(i));
-    else if (a == "--background") opt.background = std::stod(next(i));
+    else if (a == "--strength") opt.strength = real(i);
+    else if (a == "--background") opt.background = real(i);
     else if (a == "--obstacles") opt.obstacles = true;
-    else if (a == "--particles") opt.particles = std::stoul(next(i));
-    else if (a == "--queue-capacity") opt.queue_capacity = std::stoul(next(i));
+    else if (a == "--particles") opt.particles = count(i);
+    else if (a == "--queue-capacity") opt.queue_capacity = count(i);
     else if (a == "--adaptive") opt.adaptive = true;
-    else if (a == "--scoring-cache") opt.scoring_cache = std::stoul(next(i));
+    else if (a == "--scoring-cache") opt.scoring_cache = count(i);
     else if (a == "--fused") opt.fused = true;
     else if (a == "--drop-oldest") opt.drop_oldest = true;
     else if (a == "--order-by-timestamp") opt.order_by_timestamp = true;
-    else if (a == "--dump-every") opt.dump_every = std::stoul(next(i));
+    else if (a == "--dump-every") opt.dump_every = count(i);
     else if (a == "--metrics-out") opt.metrics_out = next(i);
     else if (a == "--trace-out") opt.trace_out = next(i);
-    else if (a == "--trace-sample") opt.trace_sample = std::stoull(next(i));
-    else if (a == "--threads") opt.threads = std::stoul(next(i));
-    else if (a == "--seed") opt.seed = std::stoull(next(i));
+    else if (a == "--trace-sample") opt.trace_sample = count(i);
+    else if (a == "--threads") opt.threads = count(i);
+    else if (a == "--seed") opt.seed = count(i);
     else {
       std::cerr << "unknown flag: " << a << "\n";
       usage(2);

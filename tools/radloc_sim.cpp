@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "radloc/radloc.hpp"
 #include "radloc/viz/svg.hpp"
 
@@ -76,20 +77,34 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Numeric flags: a value that is not entirely a number ends the run with
+  // exit code 2, like an unknown flag.
+  auto value_of = [&](int& i, auto parse) {
+    const std::string flag = argv[i];
+    const std::string text = next(i);
+    const auto value = parse(text);
+    if (!value) {
+      std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+      usage(2);
+    }
+    return *value;
+  };
+  auto count = [&](int& i) { return value_of(i, cli::parse_count); };
+  auto real = [&](int& i) { return value_of(i, cli::parse_real); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") usage(0);
     else if (a == "--scenario") opt.scenario = next(i);
-    else if (a == "--strength") opt.strength = std::stod(next(i));
-    else if (a == "--background") opt.background = std::stod(next(i));
+    else if (a == "--strength") opt.strength = real(i);
+    else if (a == "--background") opt.background = real(i);
     else if (a == "--obstacles") opt.obstacles = true;
-    else if (a == "--steps") opt.steps = std::stoul(next(i));
-    else if (a == "--trials") opt.trials = std::stoul(next(i));
-    else if (a == "--threads") opt.threads = std::stoul(next(i));
-    else if (a == "--particles") opt.particles = std::stoul(next(i));
-    else if (a == "--seed") opt.seed = std::stoull(next(i));
+    else if (a == "--steps") opt.steps = count(i);
+    else if (a == "--trials") opt.trials = count(i);
+    else if (a == "--threads") opt.threads = count(i);
+    else if (a == "--particles") opt.particles = count(i);
+    else if (a == "--seed") opt.seed = count(i);
     else if (a == "--delivery") opt.delivery = next(i);
-    else if (a == "--loss") opt.loss = std::stod(next(i));
+    else if (a == "--loss") opt.loss = real(i);
     else if (a == "--report") opt.report = next(i);
     else if (a == "--trace") opt.trace_path = next(i);
     else if (a == "--svg-prefix") opt.svg_prefix = next(i);
