@@ -16,9 +16,9 @@
 //
 // The repeat-sensor section replays a trace where each sensor reports R
 // consecutive readings per step (dwell/burst telemetry, R from
-// --repeat-sensor, default 8) and compares baseline vs the generation-
-// versioned scoring cache vs cache + fused same-sensor updates — the
-// workload those knobs (filter/config.hpp, DESIGN.md §5.10) were built for.
+// --repeat-sensor, default 8) and compares the baseline with fused same-
+// sensor updates — the workload that knob (filter/config.hpp, DESIGN.md
+// §5.10) was built for.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,13 +37,11 @@ struct RunStats {
   double readings_per_sec = 0.0;
   double p50_us = 0.0;  // median session
   double p99_us = 0.0;  // worst session
-  double cache_hit_rate = 0.0;   // mean over sessions
   double fused_batch_len = 0.0;  // mean over sessions
 };
 
 struct RunConfig {
   bool adaptive = false;
-  std::size_t cache_entries = 0;
   bool fused = false;
   double ess_threshold = 1.0;
 };
@@ -55,7 +53,6 @@ RunStats run_once(const Scenario& scenario, const std::vector<std::vector<Measur
   cfg.localizer.filter.num_particles = 800;
   cfg.localizer.filter.fusion_range = scenario.recommended_fusion_range;
   cfg.localizer.filter.ess_resample_threshold = rc.ess_threshold;
-  cfg.localizer.filter.scoring_cache_entries = rc.cache_entries;
   cfg.localizer.filter.fused_batch_updates = rc.fused;
   if (rc.adaptive) {
     // The multiplier row: once a session's posterior converges its budget
@@ -95,13 +92,11 @@ RunStats run_once(const Scenario& scenario, const std::vector<std::vector<Measur
     const SessionStats st = mgr.stats(id);
     p50s.push_back(st.p50_latency_us);
     p99s.push_back(st.p99_latency_us);
-    out.cache_hit_rate += st.cache_hit_rate;
     out.fused_batch_len += st.fused_batch_len;
   }
   std::sort(p50s.begin(), p50s.end());
   out.p50_us = p50s[p50s.size() / 2];
   out.p99_us = *std::max_element(p99s.begin(), p99s.end());
-  out.cache_hit_rate /= static_cast<double>(ids.size());
   out.fused_batch_len /= static_cast<double>(ids.size());
   return out;
 }
@@ -140,8 +135,8 @@ int main(int argc, char** argv) {
       bench::smoke() ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 8, 32};
 
   bench::JsonWriter json("session_multiplex");
-  std::printf("%-10s %-14s %16s %10s %10s %6s %6s\n", "sessions", "config", "readings/sec",
-              "p50_us", "p99_us", "hit%", "fuse");
+  std::printf("%-10s %-14s %16s %10s %10s %6s\n", "sessions", "config", "readings/sec",
+              "p50_us", "p99_us", "fuse");
   const auto report = [&](std::size_t sessions, const char* label, const std::string& config,
                           const std::vector<std::vector<Measurement>>& feed, const RunConfig& rc) {
     RunStats best;
@@ -149,16 +144,12 @@ int main(int argc, char** argv) {
       const RunStats s = run_once(scenario, feed, sessions, threads, 1 + r, rc);
       if (s.readings_per_sec > best.readings_per_sec) best = s;
     }
-    std::printf("%-10zu %-14s %16.0f %10.2f %10.2f %6.1f %6.2f\n", sessions, label,
-                best.readings_per_sec, best.p50_us, best.p99_us, 100.0 * best.cache_hit_rate,
-                best.fused_batch_len);
+    std::printf("%-10zu %-14s %16.0f %10.2f %10.2f %6.2f\n", sessions, label,
+                best.readings_per_sec, best.p50_us, best.p99_us, best.fused_batch_len);
     json.add("A", config, "readings_per_sec", best.readings_per_sec, threads);
     json.add("A", config, "p50_latency_us", best.p50_us, threads);
     json.add("A", config, "p99_latency_us", best.p99_us, threads);
-    if (rc.cache_entries > 0 || rc.fused) {
-      json.add("A", config, "cache_hit_rate", best.cache_hit_rate, threads);
-      json.add("A", config, "fused_batch_len", best.fused_batch_len, threads);
-    }
+    if (rc.fused) json.add("A", config, "fused_batch_len", best.fused_batch_len, threads);
   };
 
   for (const bool adaptive : {false, true}) {
@@ -173,9 +164,8 @@ int main(int argc, char** argv) {
 
   // Repeat-sensor trace replay: each step every sensor reports `repeat`
   // consecutive readings (drawn from independent sweeps, so the counts stay
-  // honest Poisson draws). All three rows share the ESS-gated resample
-  // threshold so the speedup isolates the cache and the fusing, not the
-  // gate itself.
+  // honest Poisson draws). Both rows share the ESS-gated resample
+  // threshold so the speedup isolates the fusing, not the gate itself.
   std::vector<std::vector<Measurement>> repeat_steps;
   for (std::size_t t = 0; t < num_steps; ++t) {
     std::vector<std::vector<Measurement>> sweeps;
@@ -195,12 +185,9 @@ int main(int argc, char** argv) {
     RunConfig off;
     off.ess_threshold = 0.5;
     report(sessions, "repeat", base, repeat_steps, off);
-    RunConfig cached = off;
-    cached.cache_entries = 64;
-    report(sessions, "repeat|cache", base + "|cache", repeat_steps, cached);
-    RunConfig fused = cached;
+    RunConfig fused = off;
     fused.fused = true;
-    report(sessions, "repeat|fused", base + "|cache|fused", repeat_steps, fused);
+    report(sessions, "repeat|fused", base + "|fused", repeat_steps, fused);
   }
   json.write();
   return 0;

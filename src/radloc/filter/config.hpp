@@ -58,21 +58,7 @@ struct FilterConfig {
   /// is more accurate; the per-sensor build cost grows as 1/cell^2.
   double transmission_cache_cell = 2.0;
 
-  // --- Generation-versioned scoring cache + fused same-sensor updates. ---
-
-  /// Capacity (entries) of the per-sensor scoring cache: each entry memoizes
-  /// one origin's fusion subset and Eq.-1/Eq.-3 hypothesis rates, valid while
-  /// the particle generation is unchanged (no resample/jitter/evolve/resize
-  /// since they were computed — the ESS resample gate is what creates long
-  /// same-generation stretches). A hit skips the spatial query, the SoA
-  /// gather, the transmission lookups, and the rate kernel, and jumps
-  /// straight to the Poisson scoring — bit-identical to recomputing, so the
-  /// knob is pure speed. 0 (default) disables the cache: the seed path.
-  /// The RADLOC_SCORING_CACHE environment variable, when set to a positive
-  /// entry count, overrides a default-0 config (benches/CI force the cache
-  /// on fleet-wide without touching configs; an explicit non-zero config
-  /// value always wins).
-  std::size_t scoring_cache_entries = 0;
+  // --- Fused same-sensor updates. ---
 
   /// Fuse consecutive same-sensor readings in the batch ingest paths
   /// (process_all / try_process_all and the service drain) into ONE weight

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "radloc/common/math.hpp"
@@ -20,26 +18,6 @@ namespace {
 // Grid pitch for the particle index: half the fusion range balances cell
 // occupancy against the number of cells scanned per query.
 double index_cell_size(const FilterConfig& cfg) { return std::max(cfg.fusion_range / 2.0, 1.0); }
-
-// RADLOC_SCORING_CACHE: entry-count override applied only when the config
-// leaves scoring_cache_entries at its default 0 (safe fleet-wide because a
-// cache hit is bit-identical to recomputing). Read per call — constructors
-// are cold — and clamped to a sane entry count.
-std::size_t env_scoring_cache_entries() {
-  const char* v = std::getenv("RADLOC_SCORING_CACHE");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    std::fprintf(stderr,
-                 "radloc: ignoring unrecognized RADLOC_SCORING_CACHE='%s' "
-                 "(expected an entry count); cache stays off\n",
-                 v);
-    return 0;
-  }
-  constexpr unsigned long long kMaxEntries = 4096;
-  return static_cast<std::size_t>(std::min(n, kMaxEntries));
-}
 
 }  // namespace
 
@@ -92,9 +70,6 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
   if (cfg_.use_known_obstacles && cfg_.use_transmission_cache) {
     cache_ = std::make_unique<TransmissionCache>(*env_, cfg_.transmission_cache_cell);
   }
-  scoring_cache_capacity_ =
-      cfg_.scoring_cache_entries > 0 ? cfg_.scoring_cache_entries : env_scoring_cache_entries();
-  score_cache_.reserve(std::min<std::size_t>(scoring_cache_capacity_, 64));
   initialize_particles();
 }
 
@@ -151,7 +126,7 @@ void FusionParticleFilter::set_movement_model(std::unique_ptr<MovementModel> mod
   require(model != nullptr, "movement model must not be null");
   movement_ = std::move(model);
   // Hoisted once here instead of a dynamic_cast per reading in the predict
-  // step; also gates the scoring cache and fused updates.
+  // step; also gates fused updates.
   movement_is_static_ = dynamic_cast<const StaticMovement*>(movement_.get()) != nullptr;
 }
 
@@ -241,91 +216,14 @@ std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> gro
                        log_fact_sum);
 }
 
-FusionParticleFilter::CacheEntry* FusionParticleFilter::cache_find(const Point2& at,
-                                                                   const SensorResponse& response) {
-  ++cache_lookups_;
-  ++cache_tick_;
-  for (auto& e : score_cache_) {
-    if (e.valid && e.origin.x == at.x && e.origin.y == at.y &&
-        e.efficiency == response.efficiency && e.background == response.background_cpm &&
-        e.generation == particle_generation_ && e.env_revision == env_->revision()) {
-      e.last_used = cache_tick_;
-      ++cache_hits_;
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
-FusionParticleFilter::CacheEntry* FusionParticleFilter::cache_begin_store(
-    const Point2& at, const SensorResponse& response) {
-  CacheEntry* victim = nullptr;
-  // Reuse the slot already keyed to this origin (stale or not) so a sensor
-  // never occupies two entries; else an unused slot; else grow; else LRU.
-  for (auto& e : score_cache_) {
-    if (e.origin.x == at.x && e.origin.y == at.y && e.efficiency == response.efficiency &&
-        e.background == response.background_cpm) {
-      victim = &e;
-      break;
-    }
-  }
-  if (victim == nullptr) {
-    for (auto& e : score_cache_) {
-      if (!e.valid) {
-        victim = &e;
-        break;
-      }
-    }
-  }
-  if (victim == nullptr && score_cache_.size() < scoring_cache_capacity_) {
-    victim = &score_cache_.emplace_back();
-  }
-  if (victim == nullptr) {
-    victim = &*std::min_element(
-        score_cache_.begin(), score_cache_.end(),
-        [](const CacheEntry& a, const CacheEntry& b) { return a.last_used < b.last_used; });
-  }
-  victim->valid = false;
-  return victim;
-}
-
-void FusionParticleFilter::cache_commit(CacheEntry& e, const Point2& at,
-                                        const SensorResponse& response) {
-  e.origin = at;
-  e.efficiency = response.efficiency;
-  e.background = response.background_cpm;
-  e.generation = particle_generation_;
-  e.env_revision = env_->revision();
-  e.last_used = cache_tick_;
-  e.valid = true;
-}
-
 std::size_t FusionParticleFilter::score_reading(const Point2& at, const SensorResponse& response,
                                                 double k_sum, double reps, double log_fact_sum) {
-  if (cache_enabled()) {
-    if (CacheEntry* hit = cache_find(at, response)) {
-      // Skip the spatial query, the gather, the transmission lookups, and
-      // the rate kernel; the Poisson scoring still runs against the CURRENT
-      // weights. An empty memoized subset is the cheapest hit of all.
-      if (hit->subset.empty()) return 0;
-      return apply_scores(hit->subset, hit->rates, k_sum, reps, log_fact_sum, hit->kernel_pmf);
-    }
-    CacheEntry* e = cache_begin_store(at, response);
-    const bool nonempty = select_and_rate(at, response, e->rates, e->kernel_pmf);
-    e->subset.assign(subset_.begin(), subset_.end());
-    if (!nonempty) e->rates.clear();
-    cache_commit(*e, at, response);
-    if (!nonempty) return 0;
-    return apply_scores(e->subset, e->rates, k_sum, reps, log_fact_sum, e->kernel_pmf);
-  }
-  bool kernel_pmf = false;
-  if (!select_and_rate(at, response, rates_scratch_, kernel_pmf)) return 0;
-  return apply_scores(subset_, rates_scratch_, k_sum, reps, log_fact_sum, kernel_pmf);
+  const bool kernel_pmf = select_and_rate(at, response);
+  if (subset_.empty()) return 0;
+  return apply_scores(k_sum, reps, log_fact_sum, kernel_pmf);
 }
 
-bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response,
-                                           simd::AVector<double>& rates_out,
-                                           bool& kernel_pmf_out) {
+bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response) {
   if (grid_dirty_) {
     // Whole-population rewrites (initialization, resize_budget) are
     // re-indexed here; resample and predict keep the index current as they
@@ -335,8 +233,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     grid_dirty_ = false;
     reserve_scratch();
   }
-  // Span covers the memoizable stage the scoring cache skips on a hit:
-  // spatial selection, predict, and the hypothesis-rate kernels.
+  // Span covers spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
 
   // --- Selection (Eq. 5): P' = particles within the fusion range. ---
@@ -366,7 +263,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   }
 
   const std::size_t n = subset_.size();
-  rates_out.resize(n);
+  rates_scratch_.resize(n);
   const simd::Kernels& ker = simd::kernels();
 
   // Rates run through the batch kernels (simd/simd.hpp) whenever the rate
@@ -375,7 +272,6 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   // field keeps the per-particle exact path. The scalar tier replays the
   // seed expressions bit for bit; vector tiers are an explicit opt-in.
   const bool batched = !cfg_.use_known_obstacles || field != nullptr;
-  kernel_pmf_out = batched;
   if (batched) {
     scratch_x_.resize(n);
     scratch_y_.resize(n);
@@ -383,7 +279,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     const bool use_field = cfg_.use_known_obstacles;
     if (use_field) scratch_t_.resize(n);
     simd::assert_vector_aligned(scratch_x_.data());
-    simd::assert_vector_aligned(rates_out.data());
+    simd::assert_vector_aligned(rates_scratch_.data());
     const double scale = kMicroCurieToCpm * response.efficiency;
     const simd::BilinearGrid grid = use_field ? cache->grid_view(*field) : simd::BilinearGrid{};
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
@@ -405,7 +301,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
         gt = t;
       }
       ker.hypothesis_rates(at.x, at.y, scale, response.background_cpm, gx, gy, gs, gt,
-                           rates_out.data() + begin, len);
+                           rates_scratch_.data() + begin, len);
     };
     if (pool_ != nullptr) {
       // Chunks write disjoint slots; kernels are elementwise with padded
@@ -419,7 +315,8 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
       for (std::size_t k = begin; k < end; ++k) {
         const auto i = subset_[k];
-        rates_out[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
+        rates_scratch_[k] =
+            hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
       }
     };
     if (pool_ != nullptr) {
@@ -428,12 +325,13 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
       rate_chunk(0, n);
     }
   }
-  return true;
+  return batched;
 }
 
-std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> subset,
-                                               const simd::AVector<double>& rates, double k_sum,
-                                               double reps, double log_fact_sum, bool kernel_pmf) {
+std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double log_fact_sum,
+                                               bool kernel_pmf) {
+  const std::span<const std::uint32_t> subset = subset_;
+  const simd::AVector<double>& rates = rates_scratch_;
   // The weight-update span covers Poisson scoring through the resample
   // decision; when the resample runs, its span nests inside this one.
   const obs::ScopedSpan span(tracer_, obs::Stage::kWeightUpdate);
@@ -508,8 +406,7 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
       // Skip the resample: no RNG consumed; positions unchanged by this
-      // branch, so the index needs no update — and the particle generation
-      // is unchanged, so cache entries survive.
+      // branch, so neither the index nor the particle generation moves.
       ++resamples_skipped_;
       return subset.size();
     }
@@ -552,33 +449,13 @@ void FusionParticleFilter::resample_subset(std::span<const std::uint32_t> subset
   for (std::size_t k = 0; k < subset.size(); ++k) subset_weights_[k] = weights_[subset[k]];
 
   systematic_resample(rng_, subset_weights_, subset.size(), picks_);
-
-  // Materialize the resampled hypotheses before overwriting the slots.
-  // picks_/drawn_ are members: a steady-state reading reuses their capacity
-  // instead of allocating (tests/test_alloc_steady.cpp).
-  auto& drawn = drawn_;
-  drawn.clear();
-  drawn.reserve(picks_.size());
-  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
-  for (const auto k : picks_) {
-    const auto i = subset[k];
-    Drawn d{positions_[i], strengths_[i]};
-    if (k == prev) {
-      // Duplicated particle: regularization jitter (Gordon et al. [24]).
-      d.pos.x += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos.y += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos = env_->bounds().clamp(d.pos);
-      if (cfg_.strength_jitter_sigma > 0.0) {
-        d.strength *= std::exp(normal(rng_, 0.0, cfg_.strength_jitter_sigma));
-        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
-      }
-    }
-    prev = k;
-    drawn.push_back(d);
-  }
+  // Subset slots are distinct, so mapping picks to particle indices keeps
+  // every duplicate a repeat of the previous pick.
+  for (auto& k : picks_) k = subset[k];
+  draw_picks();
 
   // Fresh uniform particles for source appearance (Sec. V-E, last para.).
-  for (auto& d : drawn) {
+  for (auto& d : drawn_) {
     if (uniform01(rng_) < cfg_.random_replacement_frac) {
       d.pos = random_position();
       d.strength = random_strength();
@@ -589,14 +466,35 @@ void FusionParticleFilter::resample_subset(std::span<const std::uint32_t> subset
   const double w = subset_mass / static_cast<double>(subset.size());
   for (std::size_t k = 0; k < subset.size(); ++k) {
     const auto slot = subset[k];
-    positions_[slot] = drawn[k].pos;
-    strengths_[slot] = drawn[k].strength;
+    positions_[slot] = drawn_[k].pos;
+    strengths_[slot] = drawn_[k].strength;
     weights_[slot] = w;
   }
-  // Positions/strengths changed: every scoring-cache entry is now stale
-  // (random replacement can move a particle into ANY fusion disk, so
-  // per-entry overlap reasoning would be unsound — invalidate globally).
   ++particle_generation_;
+}
+
+void FusionParticleFilter::draw_picks() {
+  // Materialize the resampled hypotheses before their slots are overwritten.
+  // picks_/drawn_ are members: a steady-state reading reuses their capacity
+  // instead of allocating (tests/test_alloc_steady.cpp).
+  drawn_.clear();
+  drawn_.reserve(picks_.size());
+  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
+  for (const auto i : picks_) {
+    Drawn d{positions_[i], strengths_[i]};
+    if (i == prev) {
+      // Duplicated particle: regularization jitter (Gordon et al. [24]).
+      d.pos.x += normal(rng_, 0.0, cfg_.resample_noise_sigma);
+      d.pos.y += normal(rng_, 0.0, cfg_.resample_noise_sigma);
+      d.pos = env_->bounds().clamp(d.pos);
+      if (cfg_.strength_jitter_sigma > 0.0) {
+        d.strength *= std::exp(normal(rng_, 0.0, cfg_.strength_jitter_sigma));
+        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
+      }
+    }
+    prev = i;
+    drawn_.push_back(d);
+  }
 }
 
 std::size_t FusionParticleFilter::resize_budget(std::size_t count) {
@@ -611,24 +509,7 @@ std::size_t FusionParticleFilter::resize_budget(std::size_t count) {
   // re-representation, not a filter iteration, so source-appearance
   // exploration stays the local resample's job.
   systematic_resample(rng_, weights_, count, picks_);
-  auto& drawn = drawn_;
-  drawn.clear();
-  drawn.reserve(picks_.size());
-  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
-  for (const auto i : picks_) {
-    Drawn d{positions_[i], strengths_[i]};
-    if (i == prev) {
-      d.pos.x += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos.y += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos = env_->bounds().clamp(d.pos);
-      if (cfg_.strength_jitter_sigma > 0.0) {
-        d.strength *= std::exp(normal(rng_, 0.0, cfg_.strength_jitter_sigma));
-        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
-      }
-    }
-    prev = i;
-    drawn.push_back(d);
-  }
+  draw_picks();
 
   positions_.resize(count);
   strengths_.resize(count);
@@ -638,13 +519,11 @@ std::size_t FusionParticleFilter::resize_budget(std::size_t count) {
   simd::assert_vector_aligned(weights_.data());
   const double w = 1.0 / static_cast<double>(count);
   for (std::size_t k = 0; k < count; ++k) {
-    positions_[k] = drawn[k].pos;
-    strengths_[k] = drawn[k].strength;
+    positions_[k] = drawn_[k].pos;
+    strengths_[k] = drawn_[k].strength;
     weights_[k] = w;
   }
   grid_dirty_ = true;
-  // A resize rewrites the whole population — and shrinking can leave cached
-  // subset indices out of range — so the generation must move.
   ++particle_generation_;
   return count;
 }

@@ -143,12 +143,8 @@ class FusionParticleFilter {
   /// environment and cell size as cfg would build, prepared (serially, up
   /// front) for every origin the filter will query, and must outlive the
   /// filter. Origins the shared cache lacks fall back to exact geometry;
-  /// nullptr restores the owned cache. Swapping the transmission source
-  /// invalidates the scoring cache (memoized rates embed transmissions).
-  void set_shared_transmission_cache(const TransmissionCache* cache) {
-    shared_cache_ = cache;
-    for (auto& e : score_cache_) e.valid = false;
-  }
+  /// nullptr restores the owned cache.
+  void set_shared_transmission_cache(const TransmissionCache* cache) { shared_cache_ = cache; }
 
   /// Ingestion validator: per-fault accept/reject tallies for everything fed
   /// through process()/try_process()/process_reading().
@@ -174,43 +170,21 @@ class FusionParticleFilter {
   [[nodiscard]] std::uint64_t resamples_performed() const { return resamples_performed_; }
   [[nodiscard]] std::uint64_t resamples_skipped() const { return resamples_skipped_; }
 
-  // Scoring-cache / fused-update telemetry (DESIGN.md §5.10).
-  /// Monotone particle-state version: bumped whenever positions or strengths
-  /// change (resample+jitter, movement evolution, resize_budget). Scoring-
-  /// cache entries are valid only while their recorded generation matches.
+  /// Particle-state version: a monotone count of the updates that rewrote
+  /// positions or strengths (a performed resample, a non-static predict, an
+  /// effective resize_budget). A skipped resample leaves it unchanged, so
+  /// its growth per reading measures how often the cloud actually moves.
   [[nodiscard]] std::uint64_t particle_generation() const { return particle_generation_; }
-  /// Cache lookups attempted / hits (lookups happen only when the cache is
-  /// enabled and the movement model is static).
-  [[nodiscard]] std::uint64_t scoring_cache_lookups() const { return cache_lookups_; }
-  [[nodiscard]] std::uint64_t scoring_cache_hits() const { return cache_hits_; }
-  /// Fused groups applied (size >= 2 only) and the readings they covered.
+  /// Fused groups applied (size >= 2 only) and the readings they covered
+  /// (DESIGN.md §5.10).
   [[nodiscard]] std::uint64_t fused_groups() const { return fused_groups_; }
   [[nodiscard]] std::uint64_t fused_readings() const { return fused_readings_; }
   /// True while the movement model is the identity StaticMovement — the
-  /// precondition for scoring-cache lookups and fused updates (hoisted from
-  /// the per-reading dynamic_cast the predict step used to pay).
+  /// precondition for fused updates (hoisted from the per-reading
+  /// dynamic_cast the predict step used to pay).
   [[nodiscard]] bool movement_is_static() const { return movement_is_static_; }
 
  private:
-  /// One scoring-cache entry: a sensor origin's fusion subset and per-
-  /// particle hypothesis rates, stamped with the particle generation and
-  /// environment revision they were computed under (DESIGN.md §5.10).
-  /// `rates` holds exactly subset.size() values; an entry with an empty
-  /// subset is still a valid (and cheap) hit — it memoizes "this disk is
-  /// empty at this generation".
-  struct CacheEntry {
-    Point2 origin{};
-    double efficiency = 0.0;
-    double background = 0.0;
-    std::uint64_t generation = 0;
-    std::uint64_t env_revision = 0;
-    std::uint64_t last_used = 0;  ///< lookup tick for LRU eviction
-    bool valid = false;
-    bool kernel_pmf = false;  ///< rates came from the batch-kernel path
-    std::vector<std::uint32_t> subset;
-    simd::AVector<double> rates;
-  };
-
   void initialize_particles();
   [[nodiscard]] double hypothesis_rate(const Point2& at, const SensorResponse& response,
                                        const Point2& pos, double strength,
@@ -219,6 +193,9 @@ class FusionParticleFilter {
   [[nodiscard]] Point2 random_position();
   [[nodiscard]] double random_strength();
   void resample_subset(std::span<const std::uint32_t> subset, double subset_mass);
+  /// Copies the particles named by picks_ into drawn_, jittering every pick
+  /// that repeats the one before it (duplicates of a systematic resample).
+  void draw_picks();
   /// Reserves the per-reading scratch for a subset of every particle.
   void reserve_scratch();
   /// Re-bins the particles whose positions a resample or predict rewrote;
@@ -227,39 +204,22 @@ class FusionParticleFilter {
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
-  /// True when a cache lookup may be attempted for this reading: the cache
-  /// is configured and the movement model is static (per-reading evolution
-  /// would mutate positions mid-iteration, making memoized rates stale
-  /// within a single update).
-  [[nodiscard]] bool cache_enabled() const {
-    return scoring_cache_capacity_ > 0 && movement_is_static_;
-  }
-  /// Finds a fresh entry for (at, response) at the current generation /
-  /// env revision; bumps lookup counters. nullptr on miss.
-  CacheEntry* cache_find(const Point2& at, const SensorResponse& response);
-  /// Returns the entry to (over)write for (at, response): the matching slot
-  /// if one exists, else an unused/LRU victim. Marks it invalid; the caller
-  /// fills subset+rates and stamps it via cache_commit.
-  CacheEntry* cache_begin_store(const Point2& at, const SensorResponse& response);
-  void cache_commit(CacheEntry& e, const Point2& at, const SensorResponse& response);
-  /// The shared scoring core: cache lookup (when enabled), else selection +
-  /// rates, then the weight update. `k_sum`/`reps`/`log_fact_sum` describe
-  /// the reading group (reps == 1 for a single reading — bit-identical to
-  /// the seed's single-k pass). Returns |P'| or 0.
+  /// The shared scoring core: selection + rates, then the weight update.
+  /// `k_sum`/`reps`/`log_fact_sum` describe the reading group (reps == 1
+  /// for a single reading — bit-identical to the seed's single-k pass).
+  /// Returns |P'|, or 0 when the disk is empty or the update degenerated.
   std::size_t score_reading(const Point2& at, const SensorResponse& response, double k_sum,
                             double reps, double log_fact_sum);
   /// Selects the fusion subset into subset_, runs predict, and computes the
-  /// per-particle hypothesis rates into `rates_out` (the cache-miss path).
-  /// `kernel_pmf_out` reports whether the batch-kernel scoring flavor
-  /// applies. Returns false when the disk is empty.
-  bool select_and_rate(const Point2& at, const SensorResponse& response,
-                       simd::AVector<double>& rates_out, bool& kernel_pmf_out);
-  /// Scores `rates` against the (fused) counts and applies the mass-
-  /// preserving weight update + ESS-gated resample. Returns |P'| or 0 on a
-  /// degenerate update.
-  std::size_t apply_scores(std::span<const std::uint32_t> subset,
-                           const simd::AVector<double>& rates, double k_sum, double reps,
-                           double log_fact_sum, bool kernel_pmf);
+  /// per-particle hypothesis rates into rates_scratch_. Returns whether the
+  /// batch-kernel scoring flavor applies; an empty subset_ means the disk
+  /// was empty and nothing else ran.
+  bool select_and_rate(const Point2& at, const SensorResponse& response);
+  /// Scores rates_scratch_ against the (fused) counts and applies the mass-
+  /// preserving weight update + ESS-gated resample over subset_.
+  /// `kernel_pmf` selects the batch-kernel scoring flavor. Returns |P'| or
+  /// 0 on a degenerate update.
+  std::size_t apply_scores(double k_sum, double reps, double log_fact_sum, bool kernel_pmf);
 
   const Environment* env_;
   std::vector<Sensor> sensors_;
@@ -284,17 +244,7 @@ class FusionParticleFilter {
   std::uint64_t particles_scored_ = 0;
   std::uint64_t resamples_performed_ = 0;
   std::uint64_t resamples_skipped_ = 0;
-
-  // Generation-versioned scoring cache (DESIGN.md §5.10). Any mutation of
-  // positions/strengths bumps particle_generation_, invalidating every
-  // entry at once — per-entry overlap reasoning is unsound because random
-  // replacement can move a particle anywhere.
   std::uint64_t particle_generation_ = 0;
-  std::size_t scoring_cache_capacity_ = 0;  ///< cfg or RADLOC_SCORING_CACHE
-  std::vector<CacheEntry> score_cache_;
-  std::uint64_t cache_tick_ = 0;
-  std::uint64_t cache_lookups_ = 0;
-  std::uint64_t cache_hits_ = 0;
   std::uint64_t fused_groups_ = 0;
   std::uint64_t fused_readings_ = 0;
 
@@ -307,8 +257,7 @@ class FusionParticleFilter {
   simd::AVector<double> scratch_y_;
   simd::AVector<double> scratch_s_;
   simd::AVector<double> scratch_t_;
-  // hypothesis-rate destination when the cache is off (the cache stores
-  // rates per entry instead)
+  // per-particle hypothesis rates of the fusion subset
   simd::AVector<double> rates_scratch_;
   // resample scratch
   struct Drawn {

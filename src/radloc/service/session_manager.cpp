@@ -56,8 +56,6 @@ struct SessionManager::Session {
     obs::Counter* dropped_oldest = nullptr;
     std::array<obs::Counter*, kReadingFaultCount> faults{};  ///< [kNone] unused
     obs::Counter* drains = nullptr;
-    obs::Counter* cache_lookups = nullptr;
-    obs::Counter* cache_hits = nullptr;
     obs::Counter* fused_groups = nullptr;
     obs::Counter* fused_readings = nullptr;
     obs::Counter* resamples_performed = nullptr;
@@ -98,8 +96,7 @@ struct SessionManager::Session {
   // Budget telemetry snapshotted at the end of each drain (guarded by mu).
   std::size_t current_budget = 0;
   double ess_fraction = 1.0;
-  // Scoring-cache / fused-update telemetry, same snapshot discipline.
-  double cache_hit_rate = 0.0;
+  // Fused-update telemetry, same snapshot discipline.
   double fused_batch_len = 0.0;
 
   /// Serializes drains (and estimates) of this session, so one session's
@@ -112,8 +109,6 @@ struct SessionManager::Session {
   std::vector<double> batch_latency_us;
   // Advance-delta trackers for the drain-side counter mirrors: the filter
   // and budget counters are cumulative, the registry wants increments.
-  std::uint64_t prev_cache_lookups = 0;
-  std::uint64_t prev_cache_hits = 0;
   std::uint64_t prev_fused_groups = 0;
   std::uint64_t prev_fused_readings = 0;
   std::uint64_t prev_resamples_performed = 0;
@@ -177,8 +172,6 @@ SessionManager::SessionId SessionManager::open(const Environment& env,
       ins.faults[f] = &metrics_->counter("radloc_session_ingest_faults_total", std::move(fl));
     }
     ins.drains = &metrics_->counter("radloc_session_drains_total", sl);
-    ins.cache_lookups = &metrics_->counter("radloc_filter_cache_lookups_total", sl);
-    ins.cache_hits = &metrics_->counter("radloc_filter_cache_hits_total", sl);
     ins.fused_groups = &metrics_->counter("radloc_filter_fused_groups_total", sl);
     ins.fused_readings = &metrics_->counter("radloc_filter_fused_readings_total", sl);
     ins.resamples_performed = &metrics_->counter("radloc_filter_resamples_performed_total", sl);
@@ -310,18 +303,12 @@ std::size_t SessionManager::drain_session(Session& s) {
   const FusionParticleFilter& filter = s.localizer.filter();
   const std::size_t budget = filter.size();
   const double ess = filter.effective_sample_size();
-  const std::uint64_t lookups = filter.scoring_cache_lookups();
-  const std::uint64_t hits = filter.scoring_cache_hits();
   const std::uint64_t fgroups = filter.fused_groups();
   const std::uint64_t freadings = filter.fused_readings();
 
   // Drain-side counter mirrors: advance-deltas of the cumulative localizer
   // counters since the previous drain (prev_* guarded by drain_mu).
   bump(s.ins.drains);
-  bump(s.ins.cache_lookups, lookups - s.prev_cache_lookups);
-  s.prev_cache_lookups = lookups;
-  bump(s.ins.cache_hits, hits - s.prev_cache_hits);
-  s.prev_cache_hits = hits;
   bump(s.ins.fused_groups, fgroups - s.prev_fused_groups);
   s.prev_fused_groups = fgroups;
   bump(s.ins.fused_readings, freadings - s.prev_fused_readings);
@@ -348,8 +335,6 @@ std::size_t SessionManager::drain_session(Session& s) {
     s.applied += result.processed;
     s.current_budget = budget;
     s.ess_fraction = budget > 0 ? ess / static_cast<double>(budget) : 0.0;
-    s.cache_hit_rate =
-        lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups) : 0.0;
     s.fused_batch_len =
         fgroups > 0 ? static_cast<double>(freadings) / static_cast<double>(fgroups) : 0.0;
     // Latency lands in the histogram inside the SAME critical section as
@@ -416,7 +401,6 @@ SessionStats SessionManager::stats(SessionId id) const {
   out.filter_iterations = s->applied;
   out.current_budget = s->current_budget;
   out.ess_fraction = s->ess_fraction;
-  out.cache_hit_rate = s->cache_hit_rate;
   out.fused_batch_len = s->fused_batch_len;
   // The histogram is written under this same mutex (drain_session), so the
   // sample count is exactly `processed` in every snapshot.

@@ -135,11 +135,9 @@ struct SessionStats {
   /// in-flight drain).
   std::size_t current_budget = 0;
   double ess_fraction = 1.0;
-  /// Scoring-cache hit rate (hits / lookups, 0 when the cache is off or has
-  /// seen no lookups) and mean fused-group length (fused readings / fused
-  /// groups, 0 when fusing is off or no group of >= 2 formed), both
-  /// snapshotted at the end of the last drain like the budget fields.
-  double cache_hit_rate = 0.0;
+  /// Mean fused-group length (fused readings / fused groups, 0 when fusing
+  /// is off or no group of >= 2 formed), snapshotted at the end of the last
+  /// drain like the budget fields.
   double fused_batch_len = 0.0;
 };
 

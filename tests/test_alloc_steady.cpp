@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -175,13 +176,10 @@ TEST(SteadyStateAllocation, AdaptiveBudgetResizesAreAllocationFree) {
       << "adaptive resize+process cycle allocated at steady state";
 }
 
-TEST(SteadyStateAllocation, CachedAndFusedReadingsAreAllocationFree) {
-  // The scoring cache stores each sensor origin's fusion subset + rates in
-  // per-entry buffers: the warm-up pass grows every entry (the constructor
-  // reserves the entry table itself), and stale entries are overwritten in
-  // place through the same-key slot, so once every origin has been seen both
-  // the hit path and the regenerating-miss path must not allocate. Fused
-  // groups ride the same scratch as single readings.
+TEST(SteadyStateAllocation, FusedReadingsAreAllocationFree) {
+  // Fused groups ride the same scratch as single readings; with the ESS
+  // gate at 0.5 the stream both performs and skips resamples, so both
+  // branches after the weight update run inside the counted pass.
   Environment env(make_area(60, 60));
   auto sensors = place_grid(env.bounds(), 4, 4);
   set_background(sensors, 5.0);
@@ -189,13 +187,13 @@ TEST(SteadyStateAllocation, CachedAndFusedReadingsAreAllocationFree) {
   FilterConfig cfg;
   cfg.num_particles = 1500;
   cfg.fusion_range = 200.0;  // covers the whole area: |P'| is deterministic
-  cfg.scoring_cache_entries = 16;  // >= sensor count: no LRU churn
-  cfg.ess_resample_threshold = 0.5;  // exercises both the hit and miss paths
+  cfg.ess_resample_threshold = 0.5;
   FusionParticleFilter filter(env, sensors, cfg, Rng(11));
 
   MeasurementSimulator sim(env, sensors, {{{20, 40}, 50.0}, {{45, 15}, 50.0}});
   Rng noise(12);
-  // Runs of 3 same-sensor readings: fused groups + repeat-hit lookups.
+  // Runs of 3 same-sensor readings, each fused, then its first reading again
+  // through the single-reading path.
   std::vector<Measurement> stream;
   for (int step = 0; step < 3; ++step) {
     for (const auto& m : sim.sample_time_step(noise)) {
@@ -205,18 +203,22 @@ TEST(SteadyStateAllocation, CachedAndFusedReadingsAreAllocationFree) {
   const auto pass = [&] {
     for (std::size_t i = 0; i < stream.size(); i += 3) {
       (void)filter.process_fused(std::span{stream}.subspan(i, 3));
-      (void)filter.process(stream[i]);  // single-reading path against the cache
+      (void)filter.process(stream[i]);
     }
   };
-  pass();  // warm-up: every origin cached, every scratch at capacity
+  pass();  // warm-up: every scratch at capacity
 
+  const std::uint64_t groups = filter.fused_groups();
+  const std::uint64_t performed = filter.resamples_performed();
+  const std::uint64_t skipped = filter.resamples_skipped();
   g_alloc_count.store(0);
   g_counting.store(true);
   pass();
   g_counting.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0) << "cached/fused reading path allocated at steady state";
-  EXPECT_GT(filter.scoring_cache_hits(), 0u) << "cache never hit; the assertion is vacuous";
-  EXPECT_GT(filter.fused_groups(), 0u);
+  EXPECT_EQ(g_alloc_count.load(), 0) << "fused reading path allocated at steady state";
+  EXPECT_GT(filter.fused_groups(), groups);
+  EXPECT_GT(filter.resamples_performed(), performed) << "no resample ran in the counted pass";
+  EXPECT_GT(filter.resamples_skipped(), skipped) << "no resample was skipped in the counted pass";
 }
 
 TEST(SteadyStateAllocation, PartialCoverageReadingsAreAllocationFree) {

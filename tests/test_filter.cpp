@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/core/localizer.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/filter/resample.hpp"
 #include "radloc/radiation/intensity_model.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
+#include "radloc/simd/simd.hpp"
 
 namespace radloc {
 namespace {
@@ -529,6 +535,245 @@ TEST(FusionFilter, LocalizerEstimatesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(per_thread_count[0][k].support, per_thread_count[t][k].support);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Particle generation and fused multi-reading updates (DESIGN.md §5.10)
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t state_fingerprint(const FusionParticleFilter& f) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto pos = f.positions();
+  const auto str = f.strengths();
+  const auto w = f.weights();
+  h = fnv1a(h, pos.data(), pos.size() * sizeof(Point2));
+  h = fnv1a(h, str.data(), str.size_bytes());
+  h = fnv1a(h, w.data(), w.size_bytes());
+  return h;
+}
+
+/// A small deployment whose readings never degenerate: 4x4 grid, one source.
+struct SmallWorld {
+  Environment env{make_area(100, 100)};
+  std::vector<Sensor> sensors;
+  SmallWorld() {
+    sensors = place_grid(env.bounds(), 4, 4);
+    set_background(sensors, 5.0);
+  }
+};
+
+FilterConfig small_cfg(double ess_threshold) {
+  FilterConfig cfg;
+  cfg.num_particles = 400;
+  cfg.fusion_range = 60.0;
+  cfg.ess_resample_threshold = ess_threshold;
+  return cfg;
+}
+
+/// ESS threshold low enough that the gate skips every non-degenerate
+/// resample.
+constexpr double kAlwaysSkip = 1e-6;
+
+TEST(ParticleGeneration, SkippedResampleKeepsTheGeneration) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(1));
+  const Measurement m{5, 30.0};
+  for (int r = 0; r < 3; ++r) EXPECT_GT(filter.process(m), 0u);
+  EXPECT_EQ(filter.resamples_skipped(), 3u);
+  EXPECT_EQ(filter.resamples_performed(), 0u);
+  EXPECT_EQ(filter.particle_generation(), 0u) << "skipped resamples must keep the generation";
+}
+
+TEST(ParticleGeneration, PerformedResampleBumpsTheGeneration) {
+  const SmallWorld w;
+  // Default ESS threshold 1.0: every non-degenerate update resamples.
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(1.0), Rng(1));
+  const Measurement m{5, 30.0};
+  EXPECT_GT(filter.process(m), 0u);
+  const std::uint64_t gen = filter.particle_generation();
+  EXPECT_GT(gen, 0u);
+  EXPECT_GT(filter.process(m), 0u);
+  EXPECT_EQ(filter.resamples_performed(), 2u);
+  EXPECT_EQ(filter.particle_generation(), gen + 1) << "resample must bump the generation";
+}
+
+TEST(ParticleGeneration, ResizeBumpsTheGeneration) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(1));
+  const Measurement m{5, 30.0};
+  (void)filter.process(m);
+  const std::uint64_t gen = filter.particle_generation();
+  EXPECT_EQ(filter.resize_budget(400), 400u);
+  EXPECT_EQ(filter.particle_generation(), gen) << "a same-count resize is a no-op";
+  EXPECT_EQ(filter.resize_budget(300), 300u);
+  EXPECT_EQ(filter.particle_generation(), gen + 1);
+  EXPECT_GT(filter.process(m), 0u) << "the resized population must index and score";
+}
+
+TEST(ParticleGeneration, NonStaticEvolveBumpsTheGeneration) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(1));
+  ASSERT_TRUE(filter.movement_is_static());
+  filter.set_movement_model(std::make_unique<RandomWalkMovement>(0.5));
+  EXPECT_FALSE(filter.movement_is_static());
+
+  const Measurement m{5, 30.0};
+  ASSERT_GT(filter.process(m), 0u);
+  EXPECT_EQ(filter.resamples_performed(), 0u);
+  EXPECT_EQ(filter.particle_generation(), 1u) << "evolution must bump the generation";
+
+  // Restoring a static model: predict is the identity again.
+  filter.set_movement_model(std::make_unique<StaticMovement>());
+  EXPECT_TRUE(filter.movement_is_static());
+  (void)filter.process(m);
+  EXPECT_EQ(filter.particle_generation(), 1u);
+}
+
+TEST(FusionFilter, EmptyDiskIsANoOpAndStillAdvancesTheClock) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(1));
+  // A mobile reading far outside the bounds: the fusion disk is empty, the
+  // update is a no-op — but iteration() must still count it (the stream
+  // clock tracks readings fed, not subset geometry; pinned intentionally so
+  // the adaptive-budget cadence and service accounting stay aligned).
+  const std::uint64_t before = state_fingerprint(filter);
+  const SensorResponse resp{kDefaultEfficiency, 5.0};
+  EXPECT_EQ(filter.iteration(), 0u);
+  EXPECT_EQ(filter.process_reading({1e6, 1e6}, resp, 5.0), 0u);
+  EXPECT_EQ(filter.iteration(), 1u);
+  EXPECT_EQ(filter.process_reading({1e6, 1e6}, resp, 5.0), 0u);
+  EXPECT_EQ(filter.iteration(), 2u);
+  EXPECT_EQ(state_fingerprint(filter), before);
+  EXPECT_EQ(filter.particles_scored(), 0u);
+}
+
+TEST(FusedUpdates, SizeOneGroupBitIdenticalToProcess) {
+  const SmallWorld w;
+  const Measurement m{5, 30.0};
+  FusionParticleFilter a(w.env, w.sensors, small_cfg(1.0), Rng(3));
+  FusionParticleFilter b(w.env, w.sensors, small_cfg(1.0), Rng(3));
+  const std::size_t na = a.process(m);
+  const std::size_t nb = b.process_fused(std::span{&m, 1});
+  EXPECT_EQ(na, nb);
+  EXPECT_EQ(b.fused_groups(), 0u) << "size-1 groups take the exact single-reading path";
+  EXPECT_EQ(b.iteration(), a.iteration());
+  EXPECT_EQ(state_fingerprint(b), state_fingerprint(a));
+}
+
+TEST(FusedUpdates, GroupMatchesSerialWithinToleranceAtEveryTier) {
+  // With the gate skipping every resample the serial path never mutates
+  // positions mid-group, so fused-vs-serial differ only by FP reordering of
+  // the summed log-likelihoods: positions bitwise equal, weights within a
+  // tight relative tolerance — at every SIMD tier the host supports.
+  const SmallWorld w;
+  const std::vector<Measurement> stream{{5, 28.0}, {5, 31.0}, {5, 30.0}, {5, 33.0},
+                                        {9, 12.0}, {9, 14.0}, {9, 11.0}, {9, 13.0}};
+  for (const simd::Tier tier : simd::sweep_tiers()) {
+    simd::force_tier(tier);
+    FusionParticleFilter serial(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(3));
+    FusionParticleFilter fused(w.env, w.sensors, small_cfg(kAlwaysSkip), Rng(3));
+    for (const Measurement& m : stream) (void)serial.process(m);
+    (void)fused.process_fused(std::span{stream}.subspan(0, 4));
+    (void)fused.process_fused(std::span{stream}.subspan(4, 4));
+    simd::reset_tier();
+
+    EXPECT_EQ(fused.iteration(), serial.iteration()) << "fused must count every reading";
+    EXPECT_EQ(fused.fused_groups(), 2u);
+    EXPECT_EQ(fused.fused_readings(), 8u);
+    ASSERT_EQ(fused.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(fused.positions()[i], serial.positions()[i])
+          << "tier " << static_cast<int>(tier) << " i=" << i;
+      const double ws = serial.weights()[i];
+      const double wf = fused.weights()[i];
+      ASSERT_LE(std::abs(wf - ws), 1e-9 * std::abs(ws) + 1e-15)
+          << "tier " << static_cast<int>(tier) << " i=" << i;
+    }
+  }
+}
+
+TEST(FusedUpdates, RejectsMixedSensorsNonStaticMovementAndMalformedReadings) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, small_cfg(1.0), Rng(3));
+
+  EXPECT_EQ(filter.process_fused({}), 0u);
+  EXPECT_EQ(filter.iteration(), 0u) << "an empty group must not advance the clock";
+
+  const std::vector<Measurement> mixed{{5, 30.0}, {6, 30.0}};
+  EXPECT_THROW((void)filter.process_fused(mixed), std::invalid_argument);
+  const std::vector<Measurement> malformed{{5, 30.0}, {5, -1.0}};
+  EXPECT_THROW((void)filter.process_fused(malformed), std::invalid_argument);
+  EXPECT_EQ(filter.iteration(), 0u) << "rejected groups must not advance the clock";
+
+  filter.set_movement_model(std::make_unique<RandomWalkMovement>(0.5));
+  const std::vector<Measurement> group{{5, 30.0}, {5, 31.0}};
+  EXPECT_THROW((void)filter.process_fused(group), std::invalid_argument)
+      << "fused updates require a static movement model";
+}
+
+TEST(FusedUpdates, LocalizerBatchGroupsConsecutiveSameSensorRuns) {
+  const Scenario sc = make_scenario_a(10.0);
+  LocalizerConfig cfg;
+  cfg.filter.num_particles = 600;
+  cfg.filter.fusion_range = sc.recommended_fusion_range;
+  cfg.filter.ess_resample_threshold = 0.5;
+  cfg.filter.fused_batch_updates = true;
+  MultiSourceLocalizer loc(sc.env, sc.sensors, cfg, 42);
+
+  MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+  Rng noise(7);
+  std::vector<Measurement> batch;
+  for (const Measurement& m : sim.sample_time_step(noise)) {
+    for (int r = 0; r < 4; ++r) batch.push_back(m);
+  }
+  loc.process_all(batch);
+  const FusionParticleFilter& f = loc.filter();
+  EXPECT_EQ(f.iteration(), batch.size());
+  EXPECT_GT(f.fused_groups(), 0u);
+  EXPECT_EQ(f.fused_readings(), 4 * f.fused_groups()) << "every run in this batch has length 4";
+}
+
+TEST(FusedUpdates, TryProcessAllBreaksRunsOnMalformedWithoutDoubleTally) {
+  const SmallWorld w;
+  LocalizerConfig cfg;
+  cfg.filter.num_particles = 400;
+  cfg.filter.fusion_range = 60.0;
+  cfg.filter.ess_resample_threshold = 0.5;
+  cfg.filter.fused_batch_updates = true;
+  MultiSourceLocalizer loc(w.env, w.sensors, cfg, 42);
+
+  const double nan = std::nan("");
+  const std::vector<Measurement> batch{{5, 30.0}, {5, nan}, {5, 31.0}, {5, 29.0}, {5, 30.0}};
+  std::vector<std::size_t> order;
+  std::vector<ReadingFault> faults;
+  const BatchIngestResult res = loc.try_process_all(batch, [&](std::size_t i, ReadingFault f) {
+    order.push_back(i);
+    faults.push_back(f);
+  });
+  EXPECT_EQ(res.processed, 4u);
+  EXPECT_EQ(res.rejected, 1u);
+  EXPECT_EQ(res.first_fault, ReadingFault::kNonFiniteCpm);
+  ASSERT_EQ(order.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(order[i], i) << "callbacks must fire in batch order";
+    EXPECT_EQ(faults[i], i == 1 ? ReadingFault::kNonFiniteCpm : ReadingFault::kNone);
+  }
+  const FusionParticleFilter& f = loc.filter();
+  EXPECT_EQ(f.iteration(), 4u);
+  EXPECT_EQ(f.fused_groups(), 1u) << "the NaN breaks the run: [m0], reject, [m2 m3 m4]";
+  EXPECT_EQ(f.fused_readings(), 3u);
+  // Each well-formed reading tallies exactly once (probe does not tally).
+  EXPECT_EQ(f.validator().accepted(), 4u);
+  EXPECT_EQ(f.validator().rejected(), 1u);
 }
 
 }  // namespace

@@ -215,6 +215,24 @@ TEST(SessionManager, LatencyTelemetryPopulatedByDrains) {
   EXPECT_GE(st.p99_latency_us, st.p50_latency_us);
 }
 
+TEST(SessionManager, SessionStatsSurfaceFusedLength) {
+  Fixture f;
+  f.cfg.localizer.filter.ess_resample_threshold = 0.5;
+  f.cfg.localizer.filter.fused_batch_updates = true;
+  ThreadPool pool(2, 2);
+  SessionManager mgr(pool);
+  const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 0.0);
+
+  // Every reading arrives four times in a row, so the drain fuses runs of
+  // four same-sensor readings (576 readings fit the default queue).
+  for (const auto& r : make_feed(f, {{{50, 50}, 40.0}}, 4, 8)) {
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
+  }
+  (void)mgr.drain_all();
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0) << "repeat-4 runs must fuse";
+}
+
 TEST(SessionManager, SessionsAreIndependent) {
   Fixture f;
   ThreadPool pool(4, 4);

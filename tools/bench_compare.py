@@ -30,7 +30,6 @@ DEFAULT_BENCHES = [
     "experiment_throughput",
     "session_multiplex",
     "adaptive_budget",
-    "scoring_cache",
     "telemetry_overhead",
 ]
 

@@ -7,12 +7,10 @@
 #
 # The release stage's ctest includes the `benchsmoke` label (every bench
 # binary in --smoke mode); pass `benchsmoke` as a stage to run only those.
-# The benchsmoke stage runs the label three times — once pinned to the
-# portable scalar SIMD tier (RADLOC_SIMD=scalar), once with the knob unset so
-# the dispatcher picks the host's best tier, and once with the scoring cache
-# forced on (RADLOC_SCORING_CACHE=64) so every bench exercises the cached
-# scoring path too — then diffs the fresh bench JSON against the committed
-# baselines with tools/bench_compare.py
+# The benchsmoke stage runs the label twice — once pinned to the portable
+# scalar SIMD tier (RADLOC_SIMD=scalar), once with the knob unset so the
+# dispatcher picks the host's best tier — then diffs the fresh bench JSON
+# against the committed baselines with tools/bench_compare.py
 # (informational: smoke numbers are noisy, so regressions never fail the
 # gauntlet here; run bench_compare.py --strict by hand on full runs).
 #
@@ -126,15 +124,10 @@ PYEOF
   if [ "$stage" = benchsmoke ]; then
     # Both SIMD dispatch paths: forced-scalar (the bit-identical default
     # tier) and env-unset (host's detected tier, e.g. AVX2 on x86).
-    echo "==> [$stage] pass 1/3: RADLOC_SIMD=scalar"
+    echo "==> [$stage] pass 1/2: RADLOC_SIMD=scalar"
     RADLOC_SIMD=scalar ctest --preset "$stage" -j "$jobs"
-    echo "==> [$stage] pass 2/3: RADLOC_SIMD unset (host tier)"
+    echo "==> [$stage] pass 2/2: RADLOC_SIMD unset (host tier)"
     env -u RADLOC_SIMD ctest --preset "$stage" -j "$jobs"
-    # Third pass forces the (default-off) generation-versioned scoring cache
-    # on in every bench, so the cached scoring path cannot bit-rot unnoticed
-    # between dedicated bench_scoring_cache runs.
-    echo "==> [$stage] pass 3/3: RADLOC_SCORING_CACHE=64 (host tier)"
-    env -u RADLOC_SIMD RADLOC_SCORING_CACHE=64 ctest --preset "$stage" -j "$jobs"
     echo "==> [$stage] bench_compare vs committed baselines (informational)"
     python3 tools/bench_compare.py --fresh-dir "build/$build_preset/bench" || true
   else

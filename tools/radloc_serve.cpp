@@ -52,7 +52,6 @@ struct Options {
   bool drop_oldest = false;
   bool order_by_timestamp = false;
   bool adaptive = false;
-  std::size_t scoring_cache = 0;
   bool fused = false;
   std::uint64_t seed = 1;
   std::string metrics_out;  // Prometheus text dump path ("" = metrics off)
@@ -75,9 +74,6 @@ struct Options {
       "  --adaptive              adaptive particle budget per session (KLD\n"
       "                          controller, min = particles/4, max = particles;\n"
       "                          watch the budget/ess stats columns)\n"
-      "  --scoring-cache <n>     per-session scoring cache of n entries\n"
-      "                          (generation-versioned hypothesis rates;\n"
-      "                          bit-identical, pure speed — watch hit%)\n"
       "  --fused                 fuse consecutive same-sensor readings in each\n"
       "                          drain into one weight update (tolerance-\n"
       "                          pinned; watch the fuse stats column)\n"
@@ -141,7 +137,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--particles") opt.particles = count(i);
     else if (a == "--queue-capacity") opt.queue_capacity = count(i);
     else if (a == "--adaptive") opt.adaptive = true;
-    else if (a == "--scoring-cache") opt.scoring_cache = count(i);
     else if (a == "--fused") opt.fused = true;
     else if (a == "--drop-oldest") opt.drop_oldest = true;
     else if (a == "--order-by-timestamp") opt.order_by_timestamp = true;
@@ -225,15 +220,14 @@ void dump_estimates(SessionManager& mgr, const std::vector<SessionManager::Sessi
 
 void dump_stats(SessionManager& mgr, const std::vector<SessionManager::SessionId>& ids) {
   std::cout << "session  queued  ingested  processed  applied  malformed  full  dropped"
-               "  p50_us  p99_us  budget  ess  hit%  fuse\n";
+               "  p50_us  p99_us  budget  ess  fuse\n";
   for (const auto id : ids) {
     const SessionStats st = mgr.stats(id);
     std::cout << id << "  " << st.queue_depth << "  " << st.ingested << "  " << st.processed
               << "  " << st.applied << "  " << st.rejected_malformed << "  "
               << st.rejected_full << "  " << st.dropped_oldest << "  " << st.p50_latency_us
               << "  " << st.p99_latency_us << "  " << st.current_budget << "  "
-              << st.ess_fraction << "  " << 100.0 * st.cache_hit_rate << "  "
-              << st.fused_batch_len << "\n";
+              << st.ess_fraction << "  " << st.fused_batch_len << "\n";
   }
 }
 
@@ -274,9 +268,8 @@ int run_synthetic(const Options& opt, const Scenario& scenario, SessionManager& 
   return 0;
 }
 
-int run_replay(const Options& opt, SessionManager& mgr,
+int run_replay(const Options& opt, const MeasurementTrace& trace, SessionManager& mgr,
                const std::vector<SessionManager::SessionId>& ids, const ObsOutputs& obsout) {
-  const MeasurementTrace trace = MeasurementTrace::load_csv_file(opt.replay_path);
   std::cout << "replaying " << trace.num_measurements() << " measurements over "
             << trace.num_steps() << " steps into " << ids.size() << " session(s)\n";
   for (std::size_t t = 0; t < trace.num_steps(); ++t) {
@@ -290,6 +283,14 @@ int run_replay(const Options& opt, SessionManager& mgr,
     }
   }
   return 0;
+}
+
+/// Reads exactly the given fields from the rest of a protocol line; a
+/// missing, malformed or leftover token fails the whole command.
+template <typename... Fields>
+bool read_fields(std::istream& is, Fields&... fields) {
+  std::string extra;
+  return (is >> ... >> fields) && !(is >> extra);
 }
 
 int run_stdin(SessionManager& mgr, const std::vector<SessionManager::SessionId>& ids,
@@ -308,21 +309,21 @@ int run_stdin(SessionManager& mgr, const std::vector<SessionManager::SessionId>&
       } else if (cmd == "ingest") {
         SessionManager::SessionId id = 0;
         SessionReading r;
-        if (!(is >> id >> r.timestamp >> r.m.sensor >> r.m.cpm)) {
+        if (!read_fields(is, id, r.timestamp, r.m.sensor, r.m.cpm)) {
           std::cout << "error: usage: ingest <session> <timestamp> <sensor> <cpm>\n";
           continue;
         }
         std::cout << to_string(mgr.ingest(id, r)) << "\n";
       } else if (cmd == "estimate") {
         SessionManager::SessionId id = 0;
-        if (!(is >> id)) {
+        if (!read_fields(is, id)) {
           std::cout << "error: usage: estimate <session>\n";
           continue;
         }
         dump_estimates(mgr, {id}, "estimate");
       } else if (cmd == "stats") {
         SessionManager::SessionId id = 0;
-        if (!(is >> id)) {
+        if (!read_fields(is, id)) {
           std::cout << "error: usage: stats <session>\n";
           continue;
         }
@@ -344,6 +345,16 @@ int run_stdin(SessionManager& mgr, const std::vector<SessionManager::SessionId>&
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   const Scenario scenario = build_scenario(opt);
+  // A trace that cannot be read ends the run before any session opens.
+  MeasurementTrace trace;
+  if (!opt.replay_path.empty()) {
+    try {
+      trace = MeasurementTrace::load_csv_file(opt.replay_path);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
+  }
 
   SessionConfig cfg;
   cfg.localizer.filter.num_particles =
@@ -356,7 +367,6 @@ int main(int argc, char** argv) {
     f.min_particles = std::max<std::size_t>(f.num_particles / 4, 50);
     f.ess_resample_threshold = 0.5;
   }
-  cfg.localizer.filter.scoring_cache_entries = opt.scoring_cache;
   cfg.localizer.filter.fused_batch_updates = opt.fused;
   cfg.queue_capacity = opt.queue_capacity;
   cfg.backpressure =
@@ -390,7 +400,7 @@ int main(int argc, char** argv) {
   if (opt.use_stdin) {
     rc = run_stdin(mgr, ids, obsout);
   } else if (!opt.replay_path.empty()) {
-    rc = run_replay(opt, mgr, ids, obsout);
+    rc = run_replay(opt, trace, mgr, ids, obsout);
   } else {
     rc = run_synthetic(opt, scenario, mgr, ids, obsout);
   }
