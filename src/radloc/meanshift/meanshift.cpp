@@ -5,39 +5,90 @@
 #include <numeric>
 
 #include "radloc/common/math.hpp"
-#include "radloc/simd/aligned.hpp"
 #include "radloc/simd/simd.hpp"
 
 namespace radloc {
 
 namespace {
 
-// Per-thread gather buffers for the batched profile evaluation: ascents for
-// different seeds run concurrently on the pool, and one ascent performs up
-// to max_iterations gathers — thread_local keeps them allocation-free at
-// steady state without racing.
-struct AscendScratch {
-  simd::AVector<double> x;
-  simd::AVector<double> y;
-  simd::AVector<double> ls;
-  simd::AVector<double> w;
-  simd::AVector<double> profile;
-};
-
-AscendScratch& ascend_scratch() {
-  thread_local AscendScratch scratch;
-  return scratch;
+// Per-thread profile buffer: ascents for different seeds run concurrently
+// on the pool, and one ascent evaluates the kernel on up to max_iterations
+// x (cell rows of the query box) spans — thread_local keeps it
+// allocation-free at steady state without racing.
+simd::AVector<double>& profile_scratch() {
+  thread_local simd::AVector<double> profile;
+  return profile;
 }
+
+// floor(t) clamped to [0, count - 1], NaN to 0 — the binning of GridIndex,
+// so cells and their row-major order match the fusion index's.
+std::size_t axis_cell(double t, std::size_t count) {
+  if (!(t >= 0.0)) return 0;
+  const double last = static_cast<double>(count - 1);
+  if (t >= last) return count - 1;
+  return static_cast<std::size_t>(t);
+}
+
+constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
 }  // namespace
 
 MeanShiftEstimator::MeanShiftEstimator(const AreaBounds& bounds, MeanShiftConfig cfg,
                                        ThreadPool& pool)
-    : cfg_(cfg), pool_(&pool), grid_(bounds, std::max(cfg.bandwidth_xy, 1.0)) {
+    : cfg_(cfg), pool_(&pool), bounds_(bounds), cell_size_(std::max(cfg.bandwidth_xy, 1.0)) {
   require(cfg_.bandwidth_xy > 0.0, "spatial bandwidth must be positive");
   require(cfg_.bandwidth_log_strength > 0.0, "strength bandwidth must be positive");
   require(cfg_.max_seeds > 0, "need at least one seed");
   require(cfg_.min_support >= 0.0 && cfg_.min_support <= 1.0, "min_support must be in [0,1]");
+  require(bounds.width() > 0.0 && bounds.height() > 0.0, "grid bounds must be non-degenerate");
+  nx_ = std::max<std::size_t>(static_cast<std::size_t>(std::ceil(bounds.width() / cell_size_)), 1);
+  ny_ = std::max<std::size_t>(static_cast<std::size_t>(std::ceil(bounds.height() / cell_size_)), 1);
+  cell_start_.assign(nx_ * ny_ + 1, 0);
+  cell_fill_.assign(nx_ * ny_, 0);
+}
+
+std::pair<std::size_t, std::size_t> MeanShiftEstimator::cell_of(const Point2& p) const {
+  return {axis_cell((p.x - bounds_.min.x) / cell_size_, nx_),
+          axis_cell((p.y - bounds_.min.y) / cell_size_, ny_)};
+}
+
+void MeanShiftEstimator::build_snapshot(std::span<const Point2> positions,
+                                        std::span<const double> strengths,
+                                        std::span<const double> weights) {
+  const std::size_t n = positions.size();
+  const std::size_t cells = cell_fill_.size();
+  slot_cell_.resize(n);
+  std::fill(cell_start_.begin(), cell_start_.end(), 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    // `<= 0` (not `!(> 0)`): a NaN weight stays in, as it always has.
+    if (weights[i] <= 0.0) {
+      slot_cell_[i] = kNoCell;
+      continue;
+    }
+    const auto [cx, cy] = cell_of(positions[i]);
+    const auto cell = static_cast<std::uint32_t>(cy * nx_ + cx);
+    slot_cell_[i] = cell;
+    ++cell_start_[cell + 1];
+  }
+  for (std::size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
+  std::copy(cell_start_.begin(), cell_start_.end() - 1, cell_fill_.begin());
+
+  const std::size_t m = cell_start_[cells];
+  snap_x_.resize(m);
+  snap_y_.resize(m);
+  snap_ls_.resize(m);
+  snap_w_.resize(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t cell = slot_cell_[i];
+    if (cell == kNoCell) continue;
+    const std::uint32_t k = cell_fill_[cell]++;
+    snap_x_[k] = positions[i].x;
+    snap_y_[k] = positions[i].y;
+    // log(strength) is read for every neighbor of every shift step; pay
+    // std::log once per particle here.
+    snap_ls_[k] = std::log(strengths[i]);
+    snap_w_[k] = weights[i];
+  }
 }
 
 std::vector<std::uint32_t> MeanShiftEstimator::select_seeds(
@@ -80,54 +131,51 @@ std::vector<std::uint32_t> MeanShiftEstimator::select_seeds(
   return seeds;
 }
 
-MeanShiftEstimator::Mode MeanShiftEstimator::ascend(std::span<const Point2> positions,
-                                                    std::span<const double> log_strengths,
-                                                    std::span<const double> weights,
-                                                    Point2 seed_pos,
+MeanShiftEstimator::Mode MeanShiftEstimator::ascend(Point2 seed_pos,
                                                     double seed_log_strength) const {
   const double h2 = square(cfg_.bandwidth_xy);
   const double hs2 = square(cfg_.bandwidth_log_strength);
   const double radius = 3.0 * cfg_.bandwidth_xy;
+  const double r2 = radius * radius;
 
   Point2 x = seed_pos;
   double s = seed_log_strength;
   double density = 0.0;
   const bool gaussian = cfg_.kernel == KernelType::kGaussian;
   const simd::Kernels& ker = simd::kernels();
-  AscendScratch& sc = ascend_scratch();
+  simd::AVector<double>& profile = profile_scratch();
+  const double* sx = snap_x_.data();
+  const double* sy = snap_y_.data();
+  const double* sls = snap_ls_.data();
+  const double* sw = snap_w_.data();
 
   for (std::size_t iter = 0; iter < cfg_.max_iterations; ++iter) {
-    // Gather the in-radius neighborhood into SoA slices, evaluate the
-    // kernel profile k_i = w_i * phi(e_i) as one batch, then reduce in
-    // gather order — the same neighbor order and accumulation order as the
-    // former per-neighbor loop, so the scalar tier is bit-identical.
-    sc.x.clear();
-    sc.y.clear();
-    sc.ls.clear();
-    sc.w.clear();
-    grid_.for_each_in_radius(positions, x, radius, [&](std::uint32_t i) {
-      const double w = weights[i];
-      if (w <= 0.0) return;
-      sc.x.push_back(positions[i].x);
-      sc.y.push_back(positions[i].y);
-      sc.ls.push_back(log_strengths[i]);
-      sc.w.push_back(w);
-    });
-    const std::size_t n = sc.x.size();
-    sc.profile.resize(n);
-    // Gaussian profile exp(-e), or the Epanechnikov profile 1 - e/4.5
-    // (parabola hitting zero at the same 3-sigma truncation edge).
-    ker.meanshift_profile(gaussian, x.x, x.y, s, h2, hs2, sc.x.data(), sc.y.data(),
-                          sc.ls.data(), sc.w.data(), sc.profile.data(), n);
+    // The cells of the 3h box around x, row by row: each row's cells are
+    // adjacent in the snapshot, so a row is one contiguous span. The kernel
+    // profile k_i = w_i * phi(e_i) is +0.0 beyond the 3h disk, and zero
+    // terms leave the in-order sums unchanged — the neighbours, their order
+    // and the accumulation order are those of a radius query on the grid.
+    const auto [cx0, cy0] = cell_of(Point2{x.x - radius, x.y - radius});
+    const auto [cx1, cy1] = cell_of(Point2{x.x + radius, x.y + radius});
     Point2 num_pos{0.0, 0.0};
     double num_s = 0.0;
     double denom = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double k = sc.profile[j];
-      num_pos.x += k * sc.x[j];
-      num_pos.y += k * sc.y[j];
-      num_s += k * sc.ls[j];
-      denom += k;
+    for (std::size_t cy = cy0; cy <= cy1; ++cy) {
+      const std::uint32_t begin = cell_start_[cy * nx_ + cx0];
+      const std::size_t n = cell_start_[cy * nx_ + cx1 + 1] - begin;
+      if (n == 0) continue;
+      if (profile.size() < n) profile.resize(n);
+      // Gaussian profile exp(-e), or the Epanechnikov profile 1 - e/4.5
+      // (parabola hitting zero at the same 3-sigma truncation edge).
+      ker.meanshift_profile(gaussian, x.x, x.y, s, h2, hs2, r2, sx + begin, sy + begin,
+                            sls + begin, sw + begin, profile.data(), n);
+      for (std::size_t j = 0; j < n; ++j) {
+        const double k = profile[j];
+        num_pos.x += k * sx[begin + j];
+        num_pos.y += k * sy[begin + j];
+        num_s += k * sls[begin + j];
+        denom += k;
+      }
     }
     if (denom <= 0.0) return Mode{x, s, 0.0};  // seed stranded in empty space
 
@@ -152,19 +200,13 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
   const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total_weight <= 0.0) return {};
 
-  grid_.rebuild(positions);
-
-  // log(strength) is re-read for every neighbor of every shift step; pay
-  // std::log once per particle up front (identical values — same libm call
-  // on the same inputs) and hand the ascents a precomputed array.
-  log_strengths_.resize(strengths.size());
-  for (std::size_t i = 0; i < strengths.size(); ++i) log_strengths_[i] = std::log(strengths[i]);
+  build_snapshot(positions, strengths, weights);
 
   const auto seeds = select_seeds(positions, weights);
   std::vector<Mode> modes(seeds.size());
   pool_->for_each_index(seeds.size(), [&](std::size_t k) {
     const auto i = seeds[k];
-    modes[k] = ascend(positions, log_strengths_, weights, positions[i], log_strengths_[i]);
+    modes[k] = ascend(positions[i], std::log(strengths[i]));
   });
 
   // Merge converged points: keep the densest representative of each cluster.

@@ -9,18 +9,23 @@
 // Feature space: (x, y, log strength). Log-strength makes the 4-1000 uCi
 // range scale-free under a single bandwidth (the paper leaves the strength
 // bandwidth unspecified). The kernel is a diagonal Gaussian truncated at
-// 3 sigma spatially, evaluated through a uniform grid index, so one shift
-// step costs O(local particles) instead of O(NP). Seeds are independent and
-// run in parallel on the thread pool.
+// 3 sigma spatially. Once per estimate() the positive-weight particles are
+// copied, sorted by grid cell, into contiguous (x, y, log-strength, weight)
+// arrays, so one shift step walks one contiguous span per cell row of the
+// 3h box around the current point — O(local particles) instead of O(NP),
+// with no per-step gather. Seeds are independent and run in parallel on the
+// thread pool.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "radloc/common/types.hpp"
 #include "radloc/concurrency/thread_pool.hpp"
-#include "radloc/geom/grid_index.hpp"
+#include "radloc/simd/aligned.hpp"
 
 namespace radloc {
 
@@ -89,17 +94,35 @@ class MeanShiftEstimator {
     double density = 0.0;
   };
 
-  /// Runs the mean-shift iteration x <- M(x) (Eq. 7) from one seed.
-  /// `log_strengths` holds log(strengths[i]), precomputed by estimate().
-  [[nodiscard]] Mode ascend(std::span<const Point2> positions,
-                            std::span<const double> log_strengths,
-                            std::span<const double> weights, Point2 seed_pos,
-                            double seed_log_strength) const;
+  /// Runs the mean-shift iteration x <- M(x) (Eq. 7) from one seed over
+  /// the snapshot built by build_snapshot().
+  [[nodiscard]] Mode ascend(Point2 seed_pos, double seed_log_strength) const;
+
+  /// Cell (cx, cy) of a point: the grid has pitch max(bandwidth_xy, 1) over
+  /// `bounds_`; points outside are clamped into the border cells.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> cell_of(const Point2& p) const;
+
+  /// Counting sort of the positive-weight particles into the snapshot:
+  /// cells in row-major order, particle indices ascending inside a cell.
+  void build_snapshot(std::span<const Point2> positions, std::span<const double> strengths,
+                      std::span<const double> weights);
 
   MeanShiftConfig cfg_;
   ThreadPool* pool_;
-  GridIndex grid_;
-  std::vector<double> log_strengths_;  ///< estimate() scratch (see ascend)
+  AreaBounds bounds_;
+  double cell_size_;
+  std::size_t nx_ = 1;
+  std::size_t ny_ = 1;
+
+  // The cell-sorted snapshot of one estimate(); storage is reused across
+  // calls. Cell c holds snapshot entries [cell_start_[c], cell_start_[c+1]).
+  std::vector<std::uint32_t> cell_start_;  ///< size nx*ny + 1
+  std::vector<std::uint32_t> cell_fill_;   ///< counting-sort cursors
+  std::vector<std::uint32_t> slot_cell_;   ///< cell of each input particle
+  simd::AVector<double> snap_x_;
+  simd::AVector<double> snap_y_;
+  simd::AVector<double> snap_ls_;  ///< log(strength), paid once per particle
+  simd::AVector<double> snap_w_;
 };
 
 }  // namespace radloc

@@ -102,14 +102,17 @@ struct Kernels {
   /// `out` may fully alias `v` (renormalize in place).
   void (*exp_shifted)(const double* v, double shift, double* out, std::size_t n);
 
-  /// Mean-shift profile weights at center (cx, cy, s):
-  ///   e = 0.5*((x-cx)^2+(y-cy)^2)/h2 + (ls-s)^2/hs2) ... exact seed order:
-  ///   e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2)
+  /// Mean-shift profile weights at center (cx, cy, s), with
+  /// d2 = (x-cx)^2 + (y-cy)^2 and e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2):
+  ///   d2 > r2 (or NaN): out[i] = +0.0 exactly, all tiers (no exp evaluated)
   ///   gaussian:     out[i] = w[i] * exp(-e)
   ///   epanechnikov: out[i] = w[i] * max(0, 1 - e/4.5)   (exact, all tiers)
+  /// The cutoff lets callers pass whole cell spans of a box around the
+  /// center: the lanes outside the disk add zero terms to their sums.
   void (*meanshift_profile)(bool gaussian, double cx, double cy, double s, double h2, double hs2,
-                            const double* x, const double* y, const double* log_strength,
-                            const double* w, double* out, std::size_t n);
+                            double r2, const double* x, const double* y,
+                            const double* log_strength, const double* w, double* out,
+                            std::size_t n);
 };
 
 /// Best tier the host supports (cached after first call). Non-x86 builds

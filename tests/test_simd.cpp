@@ -544,6 +544,8 @@ TEST(SimdExp, ParityInRangeAndExactOnPatchedLanes) {
 // ---------------------------------------------------------------------------
 // Mean-shift profile
 
+const double kNoCutoff = std::numeric_limits<double>::infinity();
+
 TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
   const double cx = 20.0;
   const double cy = 30.0;
@@ -574,15 +576,16 @@ TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
       // Scalar tier: seed expression bit for bit.
       std::vector<double> scalar_out(n);
       simd::kernels_for(simd::Tier::kScalar)
-          .meanshift_profile(gaussian, cx, cy, cs, h2, hs2, x.data(), y.data(), ls.data(),
-                             w.data(), scalar_out.data(), n);
+          .meanshift_profile(gaussian, cx, cy, cs, h2, hs2, kNoCutoff, x.data(), y.data(),
+                             ls.data(), w.data(), scalar_out.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_TRUE(same_bits(scalar_out[i], want[i])) << "gaussian=" << gaussian << " i=" << i;
       }
       for (const auto t : host_tiers()) {
         std::vector<double> got(n, kNan);
-        simd::kernels_for(t).meanshift_profile(gaussian, cx, cy, cs, h2, hs2, x.data(), y.data(),
-                                               ls.data(), w.data(), got.data(), n);
+        simd::kernels_for(t).meanshift_profile(gaussian, cx, cy, cs, h2, hs2, kNoCutoff,
+                                               x.data(), y.data(), ls.data(), w.data(),
+                                               got.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
           if (gaussian) {
             ASSERT_NEAR(got[i], want[i], 1e-13 * (want[i] + 1.0))
@@ -590,6 +593,59 @@ TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
           } else {
             // Epanechnikov is exact arithmetic in every tier.
             ASSERT_TRUE(same_bits(got[i], want[i])) << simd::tier_name(t) << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdMeanShift, SpatialCutoffWritesPositiveZeroAndKeepsInsideLanes) {
+  // Points on a 30x30 square around the center, so roughly half the lanes
+  // lie beyond the 3h disk; some sit exactly on its edge (d2 == r2, inside)
+  // and one has a NaN coordinate (outside).
+  const double cx = 20.0;
+  const double cy = 30.0;
+  const double cs = std::log(50.0);
+  const double h2 = 25.0;
+  const double hs2 = 0.5625;
+  const double r2 = 9.0 * h2;
+  for (const std::size_t n : kSizes) {
+    Rng rng(4242 + n);
+    std::vector<double> x(n);
+    std::vector<double> y(n);
+    std::vector<double> ls(n);
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = uniform(rng, 5.0, 35.0);
+      y[i] = uniform(rng, 15.0, 45.0);
+      if (i % 5 == 4) {  // on the edge: d2 == 225 exactly
+        x[i] = cx + 15.0;
+        y[i] = cy;
+      }
+      if (i % 11 == 10) x[i] = kNan;
+      ls[i] = uniform(rng, std::log(1.0), std::log(1000.0));
+      w[i] = uniform01(rng);
+    }
+    for (const bool gaussian : {true, false}) {
+      for (const auto t : host_tiers()) {
+        const simd::Kernels& k = simd::kernels_for(t);
+        std::vector<double> full(n, kNan);
+        std::vector<double> cut(n, kNan);
+        k.meanshift_profile(gaussian, cx, cy, cs, h2, hs2, kNoCutoff, x.data(), y.data(),
+                            ls.data(), w.data(), full.data(), n);
+        k.meanshift_profile(gaussian, cx, cy, cs, h2, hs2, r2, x.data(), y.data(), ls.data(),
+                            w.data(), cut.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double dx = x[i] - cx;
+          const double dy = y[i] - cy;
+          const double d2 = dx * dx + dy * dy;
+          if (d2 <= r2) {
+            ASSERT_TRUE(same_bits(cut[i], full[i]))
+                << simd::tier_name(t) << " gaussian=" << gaussian << " n=" << n << " i=" << i;
+          } else {
+            ASSERT_TRUE(same_bits(cut[i], 0.0))
+                << simd::tier_name(t) << " gaussian=" << gaussian << " n=" << n << " i=" << i;
           }
         }
       }
