@@ -1,10 +1,11 @@
 // Micro-benchmarks of the hot primitives (google-benchmark): spatial grid
 // queries, chord-length ray casts, Poisson sampling, the Poisson log-PMF,
-// one filter iteration, and one mean-shift ascent. These are the kernels
+// one filter iteration, and one mean-shift estimate. These are the kernels
 // Table I's end-to-end time decomposes into; regressions here explain
 // regressions there.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <string>
@@ -16,6 +17,7 @@
 #include "radloc/geom/grid_index.hpp"
 #include "radloc/geom/intersect.hpp"
 #include "radloc/geom/shapes.hpp"
+#include "radloc/meanshift/meanshift.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/placement.hpp"
 
@@ -135,6 +137,42 @@ void BM_FilterIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilterIteration)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
+
+// One estimate() over a converged-looking cloud: 9 sources on a 3x3 grid
+// (Scenario C's source count), 70% of the particles in tight clusters
+// around them with strength scatter, the rest spread uniformly, jittered
+// weights. Single-threaded pool, so the time is the estimator's work; the
+// counters report its ascents, captured ascents and shift steps.
+void BM_MeanShiftEstimate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(9);
+  const AreaBounds area = make_area(150, 150);
+  std::vector<Point2> pos;
+  std::vector<double> str;
+  std::vector<double> w;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c = i % 10;
+    if (c < 9) {
+      const Point2 center{25.0 + 50.0 * static_cast<double>(c % 3),
+                          25.0 + 50.0 * static_cast<double>(c / 3)};
+      pos.push_back(area.clamp(
+          {center.x + normal(rng, 0.0, 2.0), center.y + normal(rng, 0.0, 2.0)}));
+      str.push_back((10.0 + 40.0 * static_cast<double>(c)) * std::exp(normal(rng, 0.0, 0.2)));
+    } else {
+      pos.push_back(uniform_point(rng, area));
+      str.push_back(std::exp(uniform(rng, std::log(4.0), std::log(1000.0))));
+    }
+    w.push_back(uniform(rng, 0.5, 1.5));
+  }
+  ThreadPool pool(1);
+  MeanShiftEstimator est(area, MeanShiftConfig{}, pool);
+  for (auto _ : state) benchmark::DoNotOptimize(est.estimate(pos, str, w));
+  const MeanShiftWork work = est.last_work();
+  state.counters["ascents"] = static_cast<double>(work.ascents);
+  state.counters["captured"] = static_cast<double>(work.captured);
+  state.counters["shift_steps"] = static_cast<double>(work.shift_steps);
+}
+BENCHMARK(BM_MeanShiftEstimate)->Arg(2000)->Arg(15000)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that records per-iteration real time so the main can
 /// emit the stable-schema BENCH_micro.json after the run.

@@ -131,12 +131,15 @@ std::vector<std::uint32_t> MeanShiftEstimator::select_seeds(
   return seeds;
 }
 
-MeanShiftEstimator::Mode MeanShiftEstimator::ascend(Point2 seed_pos,
-                                                    double seed_log_strength) const {
+MeanShiftEstimator::Ascent MeanShiftEstimator::ascend(Point2 seed_pos, double seed_log_strength,
+                                                      std::span<const Mode> basins) const {
   const double h2 = square(cfg_.bandwidth_xy);
   const double hs2 = square(cfg_.bandwidth_log_strength);
   const double radius = 3.0 * cfg_.bandwidth_xy;
   const double r2 = radius * radius;
+  // Strength differences count in spatial units, as in the shift test.
+  const double strength_scale = cfg_.bandwidth_xy / cfg_.bandwidth_log_strength;
+  const double capture = cfg_.bandwidth_xy / kCaptureDivisor;
 
   Point2 x = seed_pos;
   double s = seed_log_strength;
@@ -149,7 +152,9 @@ MeanShiftEstimator::Mode MeanShiftEstimator::ascend(Point2 seed_pos,
   const double* sls = snap_ls_.data();
   const double* sw = snap_w_.data();
 
+  Ascent out;
   for (std::size_t iter = 0; iter < cfg_.max_iterations; ++iter) {
+    ++out.steps;
     // The cells of the 3h box around x, row by row: each row's cells are
     // adjacent in the snapshot, so a row is one contiguous span. The kernel
     // profile k_i = w_i * phi(e_i) is +0.0 beyond the 3h disk, and zero
@@ -177,18 +182,31 @@ MeanShiftEstimator::Mode MeanShiftEstimator::ascend(Point2 seed_pos,
         denom += k;
       }
     }
-    if (denom <= 0.0) return Mode{x, s, 0.0};  // seed stranded in empty space
+    if (denom <= 0.0) {  // seed stranded in empty space
+      out.mode = Mode{x, s, 0.0};
+      return out;
+    }
 
     const Point2 new_pos = (1.0 / denom) * num_pos;
     const double new_s = num_s / denom;
-    const double shift =
-        distance(new_pos, x) + cfg_.bandwidth_xy / cfg_.bandwidth_log_strength * std::abs(new_s - s);
+    const double shift = distance(new_pos, x) + strength_scale * std::abs(new_s - s);
     x = new_pos;
     s = new_s;
     density = denom;
-    if (shift < cfg_.convergence_eps) break;
+    if (shift < cfg_.convergence_eps) {
+      out.converged = true;
+      break;
+    }
+    for (const Mode& b : basins) {
+      if (distance(x, b.pos) + strength_scale * std::abs(s - b.log_strength) < capture) {
+        out.mode = b;
+        out.captured = true;
+        return out;
+      }
+    }
   }
-  return Mode{x, s, density};
+  out.mode = Mode{x, s, density};
+  return out;
 }
 
 std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2> positions,
@@ -196,18 +214,39 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
                                                          std::span<const double> weights) {
   require(positions.size() == strengths.size() && positions.size() == weights.size(),
           "positions/strengths/weights must have equal length");
+  work_ = MeanShiftWork{};
   if (positions.empty()) return {};
   const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total_weight <= 0.0) return {};
 
   build_snapshot(positions, strengths, weights);
 
+  // Seeds ascend in fixed waves, in seed order. Most seeds sit on a hill
+  // that another seed climbs too; an ascent of a later wave that reaches
+  // the top of a hill an earlier wave already climbed stops there. The
+  // waves depend only on the seed list, never on the thread count, so the
+  // result is the same at any thread count.
   const auto seeds = select_seeds(positions, weights);
   std::vector<Mode> modes(seeds.size());
-  pool_->for_each_index(seeds.size(), [&](std::size_t k) {
-    const auto i = seeds[k];
-    modes[k] = ascend(positions[i], std::log(strengths[i]));
-  });
+  std::vector<Ascent> wave(kWaveSize);
+  std::vector<Mode> basins;  // modes converged to by finished waves
+  work_.ascents = seeds.size();
+  for (std::size_t first = 0; first < seeds.size(); first += kWaveSize) {
+    const std::size_t count = std::min(kWaveSize, seeds.size() - first);
+    pool_->for_each_index(count, [&](std::size_t k) {
+      const auto i = seeds[first + k];
+      wave[k] = ascend(positions[i], std::log(strengths[i]), basins);
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      modes[first + k] = wave[k].mode;
+      work_.shift_steps += wave[k].steps;
+      if (wave[k].captured) {
+        ++work_.captured;
+      } else if (wave[k].converged) {
+        basins.push_back(wave[k].mode);
+      }
+    }
+  }
 
   // Merge converged points: keep the densest representative of each cluster.
   std::sort(modes.begin(), modes.end(),

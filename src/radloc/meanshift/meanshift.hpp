@@ -64,8 +64,23 @@ struct SourceEstimate {
   double support = 0.0;   ///< fraction of total particle weight in the basin
 };
 
+/// What the last estimate() spent: ascents started (one per seed), ascents
+/// that ended by basin capture, and shift steps summed over all ascents.
+struct MeanShiftWork {
+  std::size_t ascents = 0;
+  std::size_t captured = 0;
+  std::size_t shift_steps = 0;
+};
+
 class MeanShiftEstimator {
  public:
+  /// Seeds ascend in fixed waves of this many, in select_seeds() order.
+  static constexpr std::size_t kWaveSize = 8;
+  /// A later-wave ascent that comes within bandwidth_xy / kCaptureDivisor
+  /// of a mode an earlier wave converged to (in the shift test's metric)
+  /// stops there and returns that mode.
+  static constexpr double kCaptureDivisor = 5.0;
+
   /// `bounds` must cover all particle positions; `pool` is borrowed and must
   /// outlive the estimator.
   MeanShiftEstimator(const AreaBounds& bounds, MeanShiftConfig cfg, ThreadPool& pool);
@@ -78,6 +93,10 @@ class MeanShiftEstimator {
                                                      std::span<const double> weights);
 
   [[nodiscard]] const MeanShiftConfig& config() const { return cfg_; }
+
+  /// Work counters of the last estimate() (zero before the first call and
+  /// after one that ran no ascent). Identical at any thread count.
+  [[nodiscard]] const MeanShiftWork& last_work() const { return work_; }
 
   /// The deterministic stratified seed draw estimate() starts from: particle
   /// indices sampled proportionally to weight, thinned by seed_separation,
@@ -93,10 +112,19 @@ class MeanShiftEstimator {
     double log_strength = 0.0;
     double density = 0.0;
   };
+  struct Ascent {
+    Mode mode;
+    std::size_t steps = 0;
+    bool converged = false;  ///< the shift fell below convergence_eps
+    bool captured = false;   ///< stopped in the basin of an earlier mode
+  };
 
   /// Runs the mean-shift iteration x <- M(x) (Eq. 7) from one seed over
-  /// the snapshot built by build_snapshot().
-  [[nodiscard]] Mode ascend(Point2 seed_pos, double seed_log_strength) const;
+  /// the snapshot built by build_snapshot(). After each shift step the
+  /// ascent is captured by the first of `basins` (modes that earlier waves
+  /// converged to) within the capture radius, and returns that mode.
+  [[nodiscard]] Ascent ascend(Point2 seed_pos, double seed_log_strength,
+                              std::span<const Mode> basins) const;
 
   /// Cell (cx, cy) of a point: the grid has pitch max(bandwidth_xy, 1) over
   /// `bounds_`; points outside are clamped into the border cells.
@@ -123,6 +151,7 @@ class MeanShiftEstimator {
   simd::AVector<double> snap_y_;
   simd::AVector<double> snap_ls_;  ///< log(strength), paid once per particle
   simd::AVector<double> snap_w_;
+  MeanShiftWork work_;
 };
 
 }  // namespace radloc

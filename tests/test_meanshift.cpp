@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "radloc/concurrency/thread_pool.hpp"
@@ -166,6 +167,33 @@ TEST(MeanShift, CloseClustersMergeIntoOne) {
   const auto modes = est.estimate(cloud.positions, cloud.strengths, cloud.weights);
   ASSERT_EQ(modes.size(), 1u);
   EXPECT_LT(distance(modes[0].pos, {50, 50}), 2.5);
+}
+
+TEST(MeanShift, CloseDistinctClustersSurviveCapture) {
+  // Two tight clusters 7 apart (beyond merge_radius 6) with well-separated
+  // strengths: distinct modes of the KDE in (x, y, log strength). Dense
+  // seeding spreads the ascents over several waves, so later waves run
+  // with both hills already climbed; capture must not fold one cluster's
+  // ascents into the other's mode.
+  Rng rng(41);
+  const auto cloud = make_cloud(rng, {{{46.5, 50}, 10.0, 0.0}, {{53.5, 50}, 200.0, 0.0}}, 600,
+                                /*pos_sigma=*/0.6, /*strength_sigma=*/0.1);
+  MeanShiftConfig cfg = test_config();
+  cfg.seed_separation = 0.25;
+  ThreadPool pool(2);
+  MeanShiftEstimator est(make_area(100, 100), cfg, pool);
+  const auto modes = est.estimate(cloud.positions, cloud.strengths, cloud.weights);
+  const MeanShiftWork work = est.last_work();
+  EXPECT_GT(work.ascents, 2 * MeanShiftEstimator::kWaveSize);  // at least three waves
+  EXPECT_GT(work.captured, 0u);
+  ASSERT_EQ(modes.size(), 2u);
+  const auto [left, right] = modes[0].pos.x < modes[1].pos.x
+                                 ? std::pair{modes[0], modes[1]}
+                                 : std::pair{modes[1], modes[0]};
+  EXPECT_LT(distance(left.pos, {46.5, 50}), 1.0);
+  EXPECT_LT(distance(right.pos, {53.5, 50}), 1.0);
+  EXPECT_NEAR(left.strength, 10.0, 2.0);
+  EXPECT_NEAR(right.strength, 200.0, 40.0);
 }
 
 TEST(MeanShift, ParallelMatchesSerial) {

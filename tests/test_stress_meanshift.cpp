@@ -162,20 +162,29 @@ TEST(StressMeanShift, BitIdenticalAcrossThreadCounts) {
   for (auto& w : c.weights) w = uniform01(rng);
 
   ThreadPool pool1(1);
+  ThreadPool pool2(2, 2);
   ThreadPool pool4(4, 4);
-  ThreadPool pool8(8, 8);
-  ThreadPool* pools[] = {&pool1, &pool4, &pool8};
+  ThreadPool* pools[] = {&pool1, &pool2, &pool4};
 
   std::vector<SourceEstimate> reference;
+  MeanShiftWork reference_work;
   for (ThreadPool* pool : pools) {
     SCOPED_TRACE(::testing::Message() << pool->num_threads() << " threads");
     MeanShiftEstimator estimator(bounds, MeanShiftConfig{}, *pool);
     const auto estimates = estimator.estimate(c.positions, c.strengths, c.weights);
     expect_estimate_invariants(estimates, bounds, "thread sweep");
+    // Not vacuous: the seeds span several waves and later waves capture.
+    const MeanShiftWork work = estimator.last_work();
+    EXPECT_GT(work.ascents, MeanShiftEstimator::kWaveSize);
+    EXPECT_GT(work.captured, 0u);
     if (reference.empty()) {
       reference = estimates;
+      reference_work = work;
       ASSERT_FALSE(reference.empty());
     } else {
+      EXPECT_EQ(work.ascents, reference_work.ascents);
+      EXPECT_EQ(work.captured, reference_work.captured);
+      EXPECT_EQ(work.shift_steps, reference_work.shift_steps);
       ASSERT_EQ(estimates.size(), reference.size());
       for (std::size_t i = 0; i < estimates.size(); ++i) {
         ASSERT_EQ(estimates[i].pos, reference[i].pos);
