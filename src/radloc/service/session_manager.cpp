@@ -68,6 +68,7 @@ struct SessionManager::Session {
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* ess_fraction = nullptr;
     obs::Gauge* particle_budget = nullptr;
+    obs::Histogram* estimate_latency = nullptr;  ///< one sample per estimate()
   };
   Instruments ins;
 
@@ -184,6 +185,7 @@ SessionManager::SessionId SessionManager::open(const Environment& env,
     ins.queue_depth = &metrics_->gauge("radloc_session_queue_depth", sl);
     ins.ess_fraction = &metrics_->gauge("radloc_filter_ess_fraction", sl);
     ins.particle_budget = &metrics_->gauge("radloc_filter_particle_budget", sl);
+    ins.estimate_latency = &metrics_->histogram("radloc_session_estimate_latency_us", sl);
     session->latency_hist = &metrics_->histogram("radloc_session_drain_latency_us", sl);
   } else {
     session->owned_latency = std::make_unique<obs::Histogram>();
@@ -413,7 +415,11 @@ SessionStats SessionManager::stats(SessionId id) const {
 std::vector<SourceEstimate> SessionManager::estimate(SessionId id) {
   const std::shared_ptr<Session> s = find(id);
   const std::lock_guard drain_lock(s->drain_mu);
-  return s->localizer.estimate();
+  if (s->ins.estimate_latency == nullptr) return s->localizer.estimate();
+  const Clock::time_point start = Clock::now();
+  std::vector<SourceEstimate> out = s->localizer.estimate();
+  s->ins.estimate_latency->observe(microseconds_between(start, Clock::now()));
+  return out;
 }
 
 const MultiSourceLocalizer& SessionManager::localizer(SessionId id) const {

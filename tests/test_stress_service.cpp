@@ -286,6 +286,14 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
               script.malformed)
         << k;
     EXPECT_EQ(registry.histogram("radloc_session_drain_latency_us", sl).count(), valid) << k;
+    // Every estimate() lands one sample in the session's estimate-latency
+    // histogram, observed under the drain lock that serializes it.
+    obs::Histogram& estimate_latency =
+        registry.histogram("radloc_session_estimate_latency_us", sl);
+    EXPECT_EQ(estimate_latency.count(), 0u) << k;
+    const std::size_t estimates = 1 + k % 3;
+    for (std::size_t e = 0; e < estimates; ++e) (void)mgr.estimate(ids[k]);
+    EXPECT_EQ(estimate_latency.count(), estimates) << k;
 
     // Tracing and metric mirroring must not perturb the filter: state stays
     // bit-identical to the serial replay, exactly as in the plain harness.

@@ -302,8 +302,18 @@ int run_stdin(SessionManager& mgr, const std::vector<SessionManager::SessionId>&
     std::string cmd;
     if (!(is >> cmd) || cmd.empty() || cmd[0] == '#') continue;
     try {
-      if (cmd == "quit") break;
+      if (cmd == "quit") {
+        if (!read_fields(is)) {
+          std::cout << "error: usage: quit\n";
+          continue;
+        }
+        break;
+      }
       if (cmd == "drain") {
+        if (!read_fields(is)) {
+          std::cout << "error: usage: drain\n";
+          continue;
+        }
         std::cout << "drained " << mgr.drain_all() << " reading(s)\n";
         obsout.flush();
       } else if (cmd == "ingest") {
