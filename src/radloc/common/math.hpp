@@ -13,6 +13,16 @@ inline constexpr double kPi = 3.14159265358979323846;
 
 [[nodiscard]] constexpr double square(double v) { return v * v; }
 
+/// Uniform-grid binning along one axis: floor(t) clamped to [0, count - 1],
+/// NaN to 0, for t = (coordinate - origin) / pitch. Clamping before the
+/// conversion keeps points far outside the grid well-defined, and
+/// truncating a non-negative t is floor(t) without a libm call.
+[[nodiscard]] constexpr std::size_t clamped_cell(double t, std::size_t count) {
+  if (!(t >= 0.0)) return 0;
+  if (t >= static_cast<double>(count - 1)) return count - 1;
+  return static_cast<std::size_t>(t);
+}
+
 /// log(n!) via lgamma. Stable for the large CPM counts Eq. (4) produces.
 /// Uses the reentrant lgamma_r where available: glibc's lgamma() writes the
 /// global `signgam`, which is a (benign but TSan-reported) data race when

@@ -17,17 +17,6 @@ namespace {
 constexpr std::uint32_t kMinSlack = 4;
 std::uint32_t slack_for(std::uint32_t count) { return count / 4 + kMinSlack; }
 
-// floor(t) clamped to [0, count - 1]. Clamping before the conversion keeps
-// points far outside the bounds (and NaN) well-defined, and truncation of a
-// non-negative t is floor(t) without a libm call: cell_of runs once per
-// point in rebuild() and once per moved point in update().
-std::int32_t axis_cell(double t, std::size_t count) {
-  if (!(t >= 0.0)) return 0;
-  const auto last = static_cast<std::int32_t>(count) - 1;
-  if (t >= static_cast<double>(last)) return last;
-  return static_cast<std::int32_t>(t);
-}
-
 }  // namespace
 
 GridIndex::GridIndex(const AreaBounds& bounds, double cell_size)
@@ -48,8 +37,10 @@ GridIndex::GridIndex(const AreaBounds& bounds, double cell_size)
 }
 
 std::pair<std::int32_t, std::int32_t> GridIndex::cell_of(const Point2& p) const {
-  return {axis_cell((p.x - bounds_.min.x) / cell_size_, nx_),
-          axis_cell((p.y - bounds_.min.y) / cell_size_, ny_)};
+  // cell_of runs once per point in rebuild() and once per moved point in
+  // update(), hence the libm-free binning.
+  return {static_cast<std::int32_t>(clamped_cell((p.x - bounds_.min.x) / cell_size_, nx_)),
+          static_cast<std::int32_t>(clamped_cell((p.y - bounds_.min.y) / cell_size_, ny_))};
 }
 
 std::uint32_t GridIndex::cell_id(const Point2& p) const {

@@ -20,15 +20,6 @@ simd::AVector<double>& profile_scratch() {
   return profile;
 }
 
-// floor(t) clamped to [0, count - 1], NaN to 0 — the binning of GridIndex,
-// so cells and their row-major order match the fusion index's.
-std::size_t axis_cell(double t, std::size_t count) {
-  if (!(t >= 0.0)) return 0;
-  const double last = static_cast<double>(count - 1);
-  if (t >= last) return count - 1;
-  return static_cast<std::size_t>(t);
-}
-
 constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
 }  // namespace
@@ -48,8 +39,8 @@ MeanShiftEstimator::MeanShiftEstimator(const AreaBounds& bounds, MeanShiftConfig
 }
 
 std::pair<std::size_t, std::size_t> MeanShiftEstimator::cell_of(const Point2& p) const {
-  return {axis_cell((p.x - bounds_.min.x) / cell_size_, nx_),
-          axis_cell((p.y - bounds_.min.y) / cell_size_, ny_)};
+  return {clamped_cell((p.x - bounds_.min.x) / cell_size_, nx_),
+          clamped_cell((p.y - bounds_.min.y) / cell_size_, ny_)};
 }
 
 void MeanShiftEstimator::build_snapshot(std::span<const Point2> positions,
