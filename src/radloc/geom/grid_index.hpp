@@ -1,10 +1,11 @@
 // Uniform-grid spatial index over a fixed rectangular area.
 //
-// Two hot paths use it: (i) the fusion-range query "all particles within
-// d of sensor S" (Eq. (5) of the paper) and (ii) truncated-kernel neighbor
-// queries inside mean-shift. Both need millions of radius queries per
-// experiment, so the index is flat and cache-friendly: one items array in
-// which every cell owns a contiguous region (CSR offsets), rebuilt in O(n).
+// The filter's hot path uses it: the fusion-range query "all particles
+// within d of sensor S" (Eq. (5) of the paper), millions of radius queries
+// per experiment, so the index is flat and cache-friendly: one items array
+// in which every cell owns a contiguous region (CSR offsets), rebuilt in
+// O(n). (Mean-shift bins its particles the same way, but copies them into
+// a cell-sorted snapshot of its own once per estimate; see meanshift.hpp.)
 //
 // Each region holds the cell's indices in ascending order followed by some
 // spare capacity, so the filter can maintain the index incrementally:
